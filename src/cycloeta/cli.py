@@ -542,8 +542,15 @@ def run(argv=None):
         text = _render_text(payload)
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(
+                f"cycloeta: error: cannot write {args.output}: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         sys.stdout.write(text)
     return code

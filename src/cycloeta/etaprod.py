@@ -15,7 +15,7 @@ from .arith import divisors, moebius, totient
 from .qseries import (
     QSeries,
     _solve_quotient,
-    euler_series_rescaled,
+    _sparse_power,
     pentagonal_terms,
 )
 
@@ -95,8 +95,11 @@ def expand(spec, n_max):
     """q-expansion of the quotient through q**n_max, exactly.
 
     Returns a QSeries with order24 = spec.order24(); the window covers every
-    exponent (order24 + 24k)/24 <= n_max.  Positive exponents multiply in
-    Euler products; negative ones divide against the sparse pentagonal
+    exponent (order24 + 24k)/24 <= n_max.  Each positive factor E(q^s)^e is
+    computed at its own length ceil(n/s) by Miller's power recurrence on the
+    pentagonal terms and then stretched by s, so the structural zeros of
+    q -> q^s are never multiplied; several positive factors multiply as
+    dense series.  Negative exponents divide against the sparse pentagonal
     factor so quotient coefficients are produced directly (the intermediate
     inverse series, whose coefficients grow like partition numbers, is never
     materialized).
@@ -107,11 +110,14 @@ def expand(spec, n_max):
         raise ValueError(
             f"n_max={n_max} is below the leading exponent {o24}/24"
         )
-    cur = QSeries([1] + [0] * (n_coeff - 1), 0)
+    cur = None
     for scale, e in spec.terms:
         if e > 0:
-            cur = cur * (euler_series_rescaled(scale, n_coeff) ** e)
-    coeffs = list(cur.coeffs)
+            m = (n_coeff - 1) // scale + 1
+            factor = [0] * n_coeff
+            factor[::scale] = _sparse_power(pentagonal_terms(m - 1), e, m)
+            cur = QSeries(factor) if cur is None else QSeries(factor) * cur
+    coeffs = [1] + [0] * (n_coeff - 1) if cur is None else list(cur.coeffs)
     for scale, e in spec.terms:
         if e < 0:
             den = [

@@ -10,6 +10,8 @@ justify (min of the operand windows for products) and never grows a window
 silently.  Series are immutable once built.
 """
 
+from operator import itemgetter, mul
+
 
 class InvertibilityError(ValueError):
     """Raised when inverting a series whose leading coefficient is not a unit."""
@@ -96,21 +98,105 @@ def _mul_lists(a, b, n):
     return _schoolbook_mul(a[:n], b[:n], n)
 
 
+def _active_segments(terms, n):
+    """Split 0..n-1 at the tail offsets: yields (lo, hi, active), where
+    active is the ascending list of terms with offset <= k for every k in
+    [lo, hi).  Offsets >= n never become active."""
+    lo = 0
+    for i, (g, _) in enumerate(terms):
+        if g >= n:
+            break
+        if g > lo:
+            yield lo, g, terms[:i]
+            lo = g
+    else:
+        i = len(terms)
+    if lo < n:
+        yield lo, n, terms[:i]
+
+
+def _offset_getter(offsets):
+    """Getter returning the values (out[-g] for g in offsets).
+
+    itemgetter returns a bare item, not a 1-tuple, for a single index; and
+    CPython 3.11 puts every freed 20-item tuple on a free list that it never
+    draws from (up to 2000 of them, 368 KB).  Those two sizes gather into a
+    list instead.
+    """
+    idx = [-g for g in offsets]
+    if len(idx) in (1, 20):
+        return lambda out: [out[i] for i in idx]
+    return itemgetter(*idx)
+
+
 def _solve_quotient(num, den_terms, den_lead, n):
     """First n coefficients of num / den, where den = den_lead + sparse tail.
 
-    den_terms is the tail as ascending (offset, coefficient) pairs and
-    den_lead must be +1 or -1 so the recurrence stays in ints.
+    den_terms is the tail as ascending (offset, coefficient) pairs with
+    positive offsets and integer coefficients; den_lead must be +1 or -1 so
+    the recurrence stays in ints.
+
+    `out` grows by append, so out[k - g] is always out[-g]: a fixed offset.
+    Between two consecutive tail offsets the active terms do not change, so
+    they are grouped by coefficient and each group is summed through one
+    prebuilt getter.
     """
-    out = [0] * n
-    num_len = len(num)
-    for k in range(n):
-        acc = num[k] if k < num_len else 0
-        for g, cg in den_terms:
-            if g > k:
-                break
-            acc -= cg * out[k - g]
-        out[k] = acc if den_lead == 1 else -acc
+    out = []
+    append = out.append
+    if den_lead == -1:  # num / (-1 + t) = (-num) / (1 - t)
+        num = [-c for c in num]
+        den_terms = [(g, -cg) for g, cg in den_terms]
+    num = num[:n]
+    num += [0] * (n - len(num))
+    for lo, hi, active in _active_segments(den_terms, n):
+        groups = {}
+        for g, cg in active:
+            if cg:
+                groups.setdefault(cg, []).append(g)
+        getters = [(cg, _offset_getter(gs)) for cg, gs in groups.items()]
+        for k in range(lo, hi):
+            acc = num[k]
+            for cg, get in getters:
+                acc -= cg * sum(get(out))
+            append(acc)
+    return out
+
+
+def _sparse_power(tail, e, n):
+    """First n coefficients of g**e, where g = 1 + sparse tail.
+
+    tail is ascending (offset, coefficient) pairs with positive offsets;
+    e is any integer.  J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2,
+    4.7): from g*f' = e*g'*f with f = g**e,
+
+        k*f[k] = sum_{j >= 1} ((e + 1)*j - k) * g[j] * f[k - j],
+
+    so each coefficient costs one pass over the active tail terms instead
+    of dense products.  The division by k is exact for integer g and e;
+    it is checked, and a remainder raises ArithmeticError.
+    """
+    out = []
+    append = out.append
+    for lo, hi, active in _active_segments(tail, n):
+        if lo == 0:
+            append(1)
+            lo = 1
+        live = [(g, cg) for g, cg in active if cg]
+        if not live:
+            out.extend([0] * (hi - lo))
+            continue
+        get = _offset_getter([g for g, _ in live])
+        weights = [cg for _, cg in live]
+        jweights = [(e + 1) * g * cg for g, cg in live]
+        for k in range(lo, hi):
+            vals = get(out)
+            acc = sum(map(mul, jweights, vals)) - k * sum(map(mul, weights, vals))
+            q, r = divmod(acc, k)
+            if r:
+                raise ArithmeticError(
+                    f"power recurrence: division by {k} is not exact"
+                )
+            append(q)
     return out
 
 
@@ -238,11 +324,7 @@ def euler_series(trunc):
     """prod_{n>=1} (1 - q^n) to `trunc` coefficients, via the pentagonal theorem."""
     if trunc < 1:
         raise ValueError("trunc must be >= 1")
-    coeffs = [0] * trunc
-    coeffs[0] = 1
-    for g, s in pentagonal_terms(trunc - 1):
-        coeffs[g] = s
-    return QSeries(coeffs, 0)
+    return euler_series_rescaled(1, trunc)
 
 
 def euler_series_rescaled(scale, trunc):

@@ -187,6 +187,15 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == expected
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x"
+    code, out, err = capture(capsys, ["verify", "--n-max", "5", "--output", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"cycloeta: error: cannot write {path}: No such file or directory"]
+    assert not path.exists()
+
+
 def test_arithmetic_failure_exits_one(capsys, monkeypatch):
     def boom(n_max):
         raise lseries.IdentityViolation(3, 10, 1)
@@ -265,3 +274,7 @@ def test_console_script_runs():
 @pytest.mark.skipif(shutil.which("cycloeta") is None, reason="cycloeta script not installed (pip install -e .)")
 def test_installed_console_script_runs():
     _assert_exit_codes([shutil.which("cycloeta")])
+
+
+def test_module_form_runs():
+    _assert_exit_codes([sys.executable, "-m", "cycloeta"])

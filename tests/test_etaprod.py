@@ -9,6 +9,7 @@ from math import prod
 
 import pytest
 
+from cycloeta import lseries, qseries
 from cycloeta.arith import factorize, totient
 from cycloeta.etaprod import (
     CORPUS,
@@ -137,6 +138,19 @@ def test_expand_matches_literal_product(h):
     assert got.trunc >= n
     assert list(got.coeffs)[:n] == list(literal.coeffs)[:n]
     assert got.order24 == spec.order24()
+
+
+def test_expand_h7_never_needs_dense_products(monkeypatch):
+    # E(q^7)^7 comes from the power recurrence at n/7 and the division by
+    # E(q) from the pentagonal solve, so the Kronecker kernel never runs
+    def refuse(*args):
+        raise AssertionError("Kronecker product on the h = 7 route")
+
+    monkeypatch.setattr(qseries, "_kronecker_mul", refuse)
+    n = 20000
+    series = expand(cyclotomic_spec(7), n)
+    got = lseries.coeff_table_from_series(series, n)
+    assert got.values[1:] == lseries.c_table(n).values[1:]
 
 
 def test_expand_of_combined_is_product():

@@ -1,12 +1,15 @@
-"""Series substrate: exactness, windows, Euler product, inversion.
+"""Series substrate: exactness, windows, Euler product, inversion, the power
+recurrence and the sparse quotient solve.
 
 Expected values are frozen from the brute-force oracles defined here
 (literal factor-by-factor products and a coin-style partition count), not
 from the code under test.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycloeta.qseries import (
@@ -14,6 +17,8 @@ from cycloeta.qseries import (
     QSeries,
     _kronecker_mul,
     _schoolbook_mul,
+    _solve_quotient,
+    _sparse_power,
     euler_series,
     euler_series_rescaled,
     pentagonal_terms,
@@ -176,3 +181,72 @@ def test_immutability():
     s = QSeries([1, 2])
     with pytest.raises(AttributeError):
         s.order24 = 5
+
+
+def dense(lead, tail, n):
+    """lead + sum c q^g over the tail, as its first n coefficients."""
+    out = [0] * n
+    if n:
+        out[0] = lead
+    for g, c in tail:
+        if g < n:
+            out[g] += c
+    return out
+
+
+# Tails with ascending distinct offsets (some past the window) and integer
+# coefficients drawn from a small set, so coefficient groups repeat.
+tails = st.lists(
+    st.tuples(st.integers(1, 40), st.sampled_from([-3, -1, 1, 1, 2, 5])),
+    max_size=10,
+    unique_by=lambda t: t[0],
+).map(sorted)
+
+
+@given(
+    st.lists(st.integers(-1000, 1000), max_size=30),
+    tails,
+    st.sampled_from([1, -1]),
+    st.integers(0, 30),
+)
+@example(num=[1, 2, 3], tail=[(2, 7)], den_lead=1, n=6)  # one single-offset group
+@example(num=[4], tail=[(1, -1), (3, -1), (5, 2)], den_lead=-1, n=12)
+@example(num=[1] * 30, tail=[(g, 1) for g in range(1, 25)], den_lead=1, n=30)
+@example(num=[1, -1], tail=[(30, 3), (41, 1)], den_lead=1, n=30)  # offsets >= n
+@settings(max_examples=300, deadline=None)
+def test_solve_quotient_times_den_is_num(num, tail, den_lead, n):
+    out = _solve_quotient(num, tail, den_lead, n)
+    assert len(out) == n
+    back = _schoolbook_mul(out, dense(den_lead, tail, n), n)
+    assert back == (num + [0] * n)[:n]
+
+
+sparse_tails = st.lists(
+    st.tuples(st.integers(1, 25), st.integers(-4, 4).filter(bool)),
+    max_size=5,
+    unique_by=lambda t: t[0],
+).map(sorted)
+
+
+@given(sparse_tails, st.integers(-4, 9), st.integers(1, 30))
+@example(tail=[(1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)], e=7, n=30)
+@settings(max_examples=400, deadline=None)
+def test_sparse_power_matches_pow(tail, e, n):
+    # QSeries.__pow__ is the oracle: binary powering for e > 0, inversion
+    # by the quotient solve for e < 0
+    g = QSeries(dense(1, tail, n))
+    assert _sparse_power(tail, e, n) == list((g ** e).coeffs)
+
+
+def test_sparse_power_edges():
+    assert _sparse_power([], 5, 4) == [1, 0, 0, 0]
+    assert _sparse_power([(1, 1)], 0, 3) == [1, 0, 0]
+    assert _sparse_power([(1, 1)], 3, 0) == []
+    assert _sparse_power([(9, 1)], 2, 5) == [1, 0, 0, 0, 0]
+
+
+def test_sparse_power_checks_exact_division():
+    # (1 + q/2)^1 has a non-integral coefficient, so the division by k leaves
+    # a remainder; the recurrence must refuse instead of rounding
+    with pytest.raises(ArithmeticError):
+        _sparse_power([(1, Fraction(1, 2))], 1, 3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import etaprod, lseries
 from .arith import epsilon, is_prime, primes_up_to
@@ -74,7 +75,9 @@ def check_positivity(n_max, c=None):
     inequalities at every prime power <= n_max."""
     if c is None:
         c = lseries.c_table(n_max)
-    failures = [n for n in range(2, n_max + 1) if c[n] <= 0]
+    if c.n_max < n_max:
+        raise IndexError(f"n={n_max} outside 1..{c.n_max}")
+    failures = [n for n, v in enumerate(islice(c.values, 2, n_max + 1), 2) if v <= 0]
     casewise = []
     for p in primes_up_to(n_max):
         pk, k = p, 1

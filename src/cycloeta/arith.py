@@ -1,11 +1,13 @@
 """Elementary number theory helpers: primes, factorization, the quadratic
-character mod 7, and a linear sieve for multiplicative functions.
+character mod 7, and a slice-filled sieve for multiplicative functions.
 
 Everything here works on plain Python ints, so all arithmetic is exact and
 never overflows.
 """
 
 import math
+from itertools import compress, islice
+from operator import floordiv, mul
 
 # Quadratic residues mod 7 are {1, 2, 4}.  eps is the completely
 # multiplicative character with eps(7) = 0.
@@ -28,21 +30,50 @@ def primes_up_to(n):
     for p in range(2, math.isqrt(n) + 1):
         if flags[p]:
             flags[p * p:: p] = bytearray(len(range(p * p, n + 1, p)))
-    return [i for i in range(2, n + 1) if flags[i]]
+    return list(compress(range(n + 1), flags))
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Below each limit the bases make Miller-Rabin deterministic: no strong
+# pseudoprime to all of them is smaller (Pomerance, Selfridge and Wagstaff;
+# Jaeschke; Sorenson and Webster).
+_MR_BASES = (
+    (1_373_653, (2, 3)),
+    (3_215_031_751, (2, 3, 5, 7)),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),
+)
 
 
 def is_prime(n):
+    """Deterministic primality: Miller-Rabin with proven base sets below
+    3.3e24, trial division above."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    for limit, bases in _MR_BASES:
+        if n < limit:
+            break
+    else:
+        d = 43
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -115,24 +146,37 @@ def sieve_multiplicative(prime_power_rule, n_max):
     prime_power_rule(p, k) must return f(p**k).  Returns table with
     table[0] = 0, table[1] = 1, table[n] = f(n) for 2 <= n <= n_max.
     Each distinct (p, k) is evaluated once; the rest is table lookups.
+
+    Slice fills mark every multiple of each prime power q = p**k with q and
+    f(q), so part[n] ends as the full power of one prime of n (whichever
+    wrote last) and local[n] as its value.  Then
+    f(n) = f(n // part[n]) * local[n], with n // part[n] < n coprime to
+    part[n] and already filled.  A prime p > sqrt(n_max) divides any
+    n <= n_max once, and beside a smaller prime that marks n unless n = p,
+    so p marks only its own slot.
     """
     if n_max < 1:
         raise ValueError("sieve_multiplicative requires n_max >= 1")
-    spf = spf_table(n_max)
-    table = [0] * (n_max + 1)
-    table[1] = 1
-    cache = {}
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m = n
-        k = 0
-        while m % p == 0:
-            m //= p
+    root = math.isqrt(n_max)
+    part = [1] * (n_max + 1)
+    local = [0] * (n_max + 1)
+    for p in primes_up_to(n_max):
+        if p > root:
+            part[p] = p
+            local[p] = prime_power_rule(p, 1)
+            continue
+        q, k = p, 1
+        while q <= n_max:
+            count = n_max // q
+            part[q::q] = [q] * count
+            local[q::q] = [prime_power_rule(p, k)] * count
+            q *= p
             k += 1
-        key = (p, k)
-        val = cache.get(key)
-        if val is None:
-            val = prime_power_rule(p, k)
-            cache[key] = val
-        table[n] = table[m] * val
+    # One pass at C speed: list.extend appends each product as the map
+    # yields it, so the lookup of n // part[n] < n reads a filled entry.
+    # (An extend that drained the map first would raise IndexError here,
+    # never return a wrong table.)
+    rest = map(floordiv, range(2, n_max + 1), islice(part, 2, None))
+    table = [0, 1]
+    table.extend(map(mul, map(table.__getitem__, rest), islice(local, 2, None)))
     return table

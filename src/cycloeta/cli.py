@@ -188,9 +188,7 @@ def _cmd_expand(spec, h, n_max):
 
 
 def _cmd_coeffs(n_max):
-    av = lseries.a_table(n_max).values
-    bv = lseries.b_table(n_max).values
-    cv = lseries.c_table(n_max).values
+    av, bv, cv = (t.values for t in lseries.identity_tables(n_max))
     rows = [[n, av[n], bv[n], cv[n]] for n in range(1, n_max + 1)]
     return {"command": "coeffs", "n_max": n_max, "rows": rows}, 0
 

@@ -231,16 +231,33 @@ def _local_expansion(p, n_max):
 # c(n) = (a(n) - b(n))/8, two ways
 
 def c_table(n_max):
-    """Fourier coefficients of the quotient via the decomposition identity."""
+    """Fourier coefficients of the quotient via the decomposition identity.
+
+    c is written over a's own value list, so no third table of big ints
+    is ever alive."""
     av = a_table(n_max).values
-    bv = b_table(n_max).values
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        d = av[n] - bv[n]
+    _eighths(av, b_table(n_max).values, av)
+    return CoeffTable("C", n_max, av)
+
+
+def identity_tables(n_max):
+    """(a_table, b_table, c_table) on 1..n_max, each of a and b computed
+    once."""
+    a = a_table(n_max)
+    b = b_table(n_max)
+    c = _eighths(a.values, b.values, [0] * (n_max + 1))
+    return a, b, CoeffTable("C", n_max, c)
+
+
+def _eighths(av, bv, out):
+    """out[n] = (av[n] - bv[n]) / 8, raising IdentityViolation where 8 does
+    not divide.  out may be av: each a(n) is read before it is replaced."""
+    for n, (a, b) in enumerate(zip(av, bv)):
+        d = a - b
         if d % 8:
-            raise IdentityViolation(n, av[n], bv[n])
+            raise IdentityViolation(n, a, b)
         out[n] = d // 8
-    return CoeffTable("C", n_max, out)
+    return out
 
 
 def coeff_table_from_series(series, n_max, kind="C"):

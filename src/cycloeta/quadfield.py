@@ -10,6 +10,8 @@ PI_TWO = (1 + sqrt(-7))/2.
 import math
 from dataclasses import dataclass
 
+from .arith import epsilon, is_prime, sieve_multiplicative
+
 
 class SplittingError(ArithmeticError):
     """Splitting data requested for a prime that does not split."""
@@ -83,18 +85,52 @@ class SplitRep:
 def split_rep(p):
     """Positive representation p = x^2 + 7 y^2 of an odd split prime.
 
-    Bounded search over y <= sqrt(p/7); raises SplittingError when no
-    representation exists (p inert or ramified, or p = 2, whose prime
-    factor PI_TWO is a half-integer pair and has no such representation).
+    Cornacchia's algorithm (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 1.5.2): a square root r of -7 mod p, then Euclid
+    on (p, r) down to the first remainder x < sqrt(p); the class number is
+    one, so every split p is reached.  Raises ValueError when p is not a
+    prime, and SplittingError when no representation exists (p inert or
+    ramified, or p = 2, whose prime factor PI_TWO is a half-integer pair
+    and has no such representation).
     """
+    if not is_prime(p):
+        raise ValueError(f"split_rep needs a prime, got {p}")
     if p == 2 or p == 7:
         raise SplittingError(f"p={p} has no x^2 + 7y^2 representation")
-    for y in range(1, math.isqrt(p // 7) + 1):
-        rem = p - 7 * y * y
-        x = math.isqrt(rem)
-        if x * x == rem and x > 0:
-            return SplitRep(p, x, y)
-    raise SplittingError(f"p={p} is not x^2 + 7y^2; it does not split")
+    # (-7/p) = (p/7) for odd p != 7 by quadratic reciprocity
+    if epsilon(p) != 1:
+        raise SplittingError(f"p={p} is not x^2 + 7y^2; it does not split")
+    a, b = p, _sqrt_mod_prime(p - 7, p)
+    while b * b > p:
+        a, b = b, a % b
+    return SplitRep(p, b, math.isqrt((p - b * b) // 7))
+
+
+def _sqrt_mod_prime(a, p):
+    """A square root of the quadratic residue a modulo the odd prime p
+    (Tonelli-Shanks)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2^s, q odd
+    q = (p - 1) >> s
+    x = pow(a, (q + 1) // 2, p)
+    if s == 1:
+        return x
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    t = pow(a, q, p)
+    m = s
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return x
 
 
 def pi_element(p):
@@ -146,7 +182,6 @@ def ideal_count_table(n_max):
     """Number of ideals of each norm <= n_max, by the Euler product of the
     Dedekind zeta function: split p contributes k+1 at p^k, inert q
     contributes 1 at even powers only, the ramified 7 contributes 1."""
-    from .arith import epsilon, sieve_multiplicative
 
     def rule(p, k):
         if p == 7:
@@ -170,9 +205,12 @@ class EulerFactor:
 
 def split_trace(p):
     """pi_p^2 + conj(pi_p)^2 as a rational integer: -3 at p = 2, else
-    2*(x^2 - 7*y^2)."""
-    sq = hecke_weight(pi_element(p))
-    return (sq + sq.conjugate()).rational_part()
+    2*(x^2 - 7*y^2), read off p = x^2 + 7 y^2 without forming ring
+    elements."""
+    if p == 2:
+        return -3
+    r = split_rep(p)
+    return 2 * (r.x * r.x - 7 * r.y * r.y)
 
 
 def split_euler_factor(p):

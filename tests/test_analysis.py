@@ -42,9 +42,15 @@ def test_check_positivity_small():
 def test_check_positivity_flags_injected_failure():
     values = [0, 0] + [1] * 9
     values[5] = -2
+    values[7] = 0
     report = check_positivity(10, CoeffTable("C", 10, values))
-    assert report.failures == [5]
+    assert report.failures == [5, 7]
     assert not report.verified
+
+
+def test_check_positivity_needs_a_long_enough_table():
+    with pytest.raises(IndexError):
+        check_positivity(20, c_table(10))
 
 
 def test_uniqueness_witness_validation():

@@ -1,8 +1,12 @@
 """Multiplicative-arithmetic helpers and the quadratic character mod 7."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycloeta.arith import (
     divisors,
@@ -109,3 +113,85 @@ def test_sieve_multiplicative_divisor_count():
     table = sieve_multiplicative(lambda p, k: k + 1, 300)
     for n in range(1, 301):
         assert table[n] == len(divisors(n))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+@given(st.integers(-10, 10**7))
+@example(2047)
+@example(1_373_653)
+@example(1_373_651)
+@settings(max_examples=500, deadline=None)
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == _trial_division_is_prime(n)
+
+
+def test_is_prime_past_each_base_set():
+    # the smallest strong pseudoprimes to bases 2; 2,3; 2,3,5; 2..7; 2..13;
+    # 2..17; 2..37 and 2..41; each is composite
+    for n in (
+        2047,
+        1_373_653,
+        25_326_001,
+        3_215_031_751,
+        3_474_749_660_383,
+        341_550_071_728_321,
+        3_825_123_056_546_413_051,
+        318_665_857_834_031_151_167_461,
+    ):
+        assert not is_prime(n)
+    assert is_prime(2**31 - 1)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(1_000_003 * (2**61 - 1))
+
+
+SIEVE_KEY_PRIMES = primes_up_to(60)
+
+
+def _sieve_oracle(rule, n_max):
+    return [0] + [
+        math.prod(rule(p, k) for p, k in factorize(n)) for n in range(1, n_max + 1)
+    ]
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(SIEVE_KEY_PRIMES), st.integers(1, 11)),
+        st.integers(-3, 3),
+    ),
+    st.integers(1, 3000),
+)
+@example({}, 1)
+@example({(2, 1): 0}, 2)
+@example({}, 3)
+@example({(2, 2): 0}, 4)
+@example({(2, 11): 5}, 2048)
+@example({(3, 7): -2}, 2187)
+@example({(7, 4): 3}, 2401)
+@example({(53, 2): 0}, 2809)
+@example({}, 2999)
+@settings(max_examples=150, deadline=None)
+def test_sieve_multiplicative_matches_factorized_product(values, n_max):
+    # primes outside the dict's keys still get varied values, some 0
+    def rule(p, k):
+        return values.get((p, k), (p + k) % 5 - 2)
+
+    calls = Counter()
+
+    def counted(p, k):
+        calls[p, k] += 1
+        return rule(p, k)
+
+    assert sieve_multiplicative(counted, n_max) == _sieve_oracle(rule, n_max)
+    powers = {
+        (p, k) for p in primes_up_to(n_max) for k in range(1, 12) if p**k <= n_max
+    }
+    assert set(calls) == powers
+    assert set(calls.values()) <= {1}
+
+
+def test_sieve_multiplicative_rejects_empty_range():
+    with pytest.raises(ValueError):
+        sieve_multiplicative(lambda p, k: 1, 0)

@@ -200,7 +200,7 @@ def test_arithmetic_failure_exits_one(capsys, monkeypatch):
     def boom(n_max):
         raise lseries.IdentityViolation(3, 10, 1)
 
-    monkeypatch.setattr(cli.lseries, "c_table", boom)
+    monkeypatch.setattr(cli.lseries, "identity_tables", boom)
     code, out, err = capture(capsys, ["coeffs", "--n-max", "10"])
     assert code == 1
     assert "mathematical check failed" in err

@@ -7,6 +7,7 @@ written.
 
 import pytest
 
+from cycloeta import lseries
 from cycloeta.arith import epsilon, primes_up_to
 from cycloeta.etaprod import cyclotomic_spec, expand
 from cycloeta.lseries import (
@@ -25,6 +26,7 @@ from cycloeta.lseries import (
     coeff_table_from_series,
     euler_truncate,
     expansion_values,
+    identity_tables,
 )
 from cycloeta.qseries import QSeries
 from cycloeta.quadfield import hecke_weight, pi_element
@@ -134,6 +136,29 @@ def test_identity_violation_payload():
     err = IdentityViolation(5, 10, 3)
     assert (err.n, err.a, err.b) == (5, 10, 3)
     assert "divisible by 8" in str(err)
+
+
+# 9 = 3^2 is an inert prime square, 16417 a split prime far into the table.
+@pytest.mark.parametrize("p,k,n_max", [(3, 2, 50), (16417, 1, 16500)])
+def test_identity_violation_from_perturbed_b(monkeypatch, p, k, n_max):
+    true_b = b_coeff(p**k)
+    honest = lseries.b_prime_power
+
+    def perturbed(q, j):
+        return honest(q, j) + (1 if (q, j) == (p, k) else 0)
+
+    monkeypatch.setattr(lseries, "b_prime_power", perturbed)
+    for build in (c_table, identity_tables):
+        with pytest.raises(IdentityViolation) as info:
+            build(n_max)
+        err = info.value
+        assert (err.n, err.a, err.b) == (p**k, a_coeff(p**k), true_b + 1)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 300, 40_000])
+def test_identity_tables_match_separate_tables(n_max):
+    a, b, c = identity_tables(n_max)
+    assert (a, b, c) == (a_table(n_max), b_table(n_max), c_table(n_max))
 
 
 def test_coeff_table_validation():

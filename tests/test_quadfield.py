@@ -8,6 +8,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycloeta.arith import divisors, epsilon, primes_up_to
 from cycloeta.quadfield import (
@@ -103,6 +105,75 @@ def test_split_rep_exhaustive_uniqueness():
             assert sols == []
             with pytest.raises(SplittingError):
                 split_rep(p)
+
+
+def _search_rep(p):
+    """Oracle: the O(sqrt p) search over y for p = x^2 + 7 y^2, x, y > 0;
+    None when there is none."""
+    for y in range(1, math.isqrt(p // 7) + 1):
+        rem = p - 7 * y * y
+        x = math.isqrt(rem)
+        if x * x == rem and x > 0:
+            return (x, y)
+    return None
+
+
+def _cornacchia_or_none(p):
+    try:
+        r = split_rep(p)
+    except SplittingError:
+        return None
+    assert r.p == p
+    return (r.x, r.y)
+
+
+def test_split_rep_matches_search_below_20000():
+    for p in primes_up_to(20_000):
+        assert _cornacchia_or_none(p) == _search_rep(p), p
+
+
+def _next_prime(n, step=1):
+    """Smallest prime >= n in n's class mod step (trial division)."""
+    while not (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))):
+        n += step
+    return n
+
+
+# 7681 - 1 = 15 * 2^9 and 3329 - 1 = 13 * 2^8: Tonelli-Shanks runs its
+# full loop.  9999991 is the largest prime below 10^7.
+@given(st.integers(3, 10**7).map(_next_prime))
+@example(7681)
+@example(3329)
+@example(9_999_991)
+@settings(max_examples=300, deadline=None)
+def test_split_rep_matches_search_on_drawn_primes(p):
+    assert _cornacchia_or_none(p) == _search_rep(p)
+
+
+@given(st.integers(0, 10**7 // 8).map(lambda m: _next_prime(8 * m + 1, 8)))
+@settings(max_examples=200, deadline=None)
+def test_split_rep_matches_search_one_mod_eight(p):
+    # p = 1 (mod 8): the square root of -7 needs a quadratic non-residue
+    assert p % 8 == 1
+    assert _cornacchia_or_none(p) == _search_rep(p)
+
+
+def test_split_rep_rejects_non_primes():
+    # 253 = 11 * 23 = 15^2 + 7 * 2^2: a search would "split" it
+    for n in (253, 1, 0, -11, 561, 25_326_001):
+        with pytest.raises(ValueError):
+            split_rep(n)
+    for p in (2, 7, 3, 5):
+        with pytest.raises(SplittingError):
+            split_rep(p)
+
+
+def test_split_trace_matches_ring_square():
+    for p in [2] + [p for p in primes_up_to(20_000) if epsilon(p) == 1]:
+        sq = hecke_weight(pi_element(p))
+        assert split_trace(p) == (sq + sq.conjugate()).rational_part()
+    with pytest.raises(SplittingError):
+        split_trace(3)
 
 
 def test_pi_element_norms():

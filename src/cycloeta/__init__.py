@@ -46,6 +46,7 @@ from .quadfield import (
     ideals_of_norm,
     split_euler_factor,
     split_rep,
+    split_traces,
 )
 
 __version__ = "0.1.0"
@@ -89,5 +90,6 @@ __all__ = [
     "sieve_multiplicative",
     "split_euler_factor",
     "split_rep",
+    "split_traces",
     "uniqueness_hypotheses",
 ]

@@ -39,8 +39,12 @@ class CaseMargin:
 
 
 def case_margin(p, k):
-    a = lseries.a_prime_power(p, k)
-    abs_b = abs(lseries.b_prime_power(p, k))
+    """The margin at p^k, from the closed forms of a and b."""
+    return _margin(p, k, lseries.a_prime_power(p, k), lseries.b_prime_power(p, k))
+
+
+def _margin(p, k, a, b):
+    abs_b = abs(b)
     if p == 7:
         ok = a == 7 ** (2 * k) and abs_b == 7 ** k and a > abs_b
         case = "ramified"
@@ -58,6 +62,16 @@ def case_margin(p, k):
     return CaseMargin(p, k, case, a, abs_b, ok)
 
 
+def _prime_powers(n_max):
+    """(p, k, p^k) for every prime power p^k <= n_max, p then k ascending."""
+    for p in primes_up_to(n_max):
+        q, k = p, 1
+        while q <= n_max:
+            yield p, k, q
+            q *= p
+            k += 1
+
+
 @dataclass
 class PositivityReport:
     n_max: int
@@ -72,19 +86,26 @@ class PositivityReport:
 
 def check_positivity(n_max, c=None):
     """Verify c(n) > 0 for 2 <= n <= n_max directly, and the three case
-    inequalities at every prime power <= n_max."""
+    inequalities at every prime power <= n_max.
+
+    Without a c table, the margins take a(p^k) and b(p^k) from the tables
+    that c is built from, and c is freed before they are built; a given
+    table gets the closed-form margins."""
     if c is None:
-        c = lseries.c_table(n_max)
-    if c.n_max < n_max:
+        c, a_at, b_at = lseries.c_table(
+            n_max, at=(q for _, _, q in _prime_powers(n_max))
+        )
+        margins = (
+            _margin(p, k, a, b)
+            for (p, k, _), a, b in zip(_prime_powers(n_max), a_at, b_at)
+        )
+    elif c.n_max < n_max:
         raise IndexError(f"n={n_max} outside 1..{c.n_max}")
+    else:
+        margins = (case_margin(p, k) for p, k, _ in _prime_powers(n_max))
     failures = [n for n, v in enumerate(islice(c.values, 2, n_max + 1), 2) if v <= 0]
-    casewise = []
-    for p in primes_up_to(n_max):
-        pk, k = p, 1
-        while pk <= n_max:
-            casewise.append(case_margin(p, k))
-            pk *= p
-            k += 1
+    del c
+    casewise = list(margins)
     bad = [m for m in casewise if not m.ok]
     return PositivityReport(n_max, failures, casewise, bad)
 

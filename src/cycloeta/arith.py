@@ -21,16 +21,22 @@ def epsilon(n):
     return _EPS_BY_RESIDUE[n % 7]
 
 
+def prime_flags(n):
+    """bytearray of length n + 1 (n >= 0) with flags[m] = 1 exactly when m
+    is prime."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = bytes(min(n + 1, 2))
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p:: p] = bytearray(len(range(p * p, n + 1, p)))
+    return flags
+
+
 def primes_up_to(n):
     """All primes <= n, ascending."""
     if n < 2:
         return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p:: p] = bytearray(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), flags))
+    return list(compress(range(n + 1), prime_flags(n)))
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -45,23 +51,21 @@ _MR_BASES = (
 
 
 def is_prime(n):
-    """Deterministic primality: Miller-Rabin with proven base sets below
-    3.3e24, trial division above."""
+    """Deterministic primality by Miller-Rabin with proven base sets.
+
+    Raises ValueError for n >= 3.3e24, where no proven base set is used:
+    trial division there does not finish when the least factor is large.
+    """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
     for limit, bases in _MR_BASES:
         if n < limit:
             break
     else:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
+        raise ValueError(f"is_prime is proven only below {limit}, got {n}")
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in bases:

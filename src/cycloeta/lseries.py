@@ -14,7 +14,14 @@ from functools import lru_cache
 
 from . import etaprod
 from .arith import divisors, epsilon, factorize, primes_up_to, sieve_multiplicative
-from .quadfield import hecke_weight, ideals_of_norm, split_euler_factor, split_trace
+from .quadfield import (
+    InconsistencyError,
+    hecke_weight,
+    ideals_of_norm,
+    split_euler_factor,
+    split_trace,
+    split_traces,
+)
 
 
 class IdentityViolation(ArithmeticError):
@@ -25,10 +32,6 @@ class IdentityViolation(ArithmeticError):
         self.n = n
         self.a = a
         self.b = b
-
-
-class InconsistencyError(ArithmeticError):
-    """An internal invariant of the splitting data failed."""
 
 
 _KINDS = ("A", "B", "C")
@@ -122,12 +125,19 @@ def a_oracle_table(n_max):
 # b(n): once-shifted Hecke series
 
 _trace = lru_cache(maxsize=None)(split_trace)
+# The split traces of the table b_table is sieving, read ahead of the
+# per-prime _trace cache; empty outside b_table.  They reach b_prime_power
+# here because the sieve calls the rule as (p, k).  Every entry is the
+# true trace, so a dict left by another caller can only cost time.
+_table_traces = {}
 
 
 def _split_power_sum(p, k):
     """s_k = sum_t pi^(2t) conj(pi)^(2(k-t)) via the integer recurrence
     s_k = T s_(k-1) - p^2 s_(k-2), T = pi^2 + conj(pi)^2."""
-    t = _trace(p)
+    t = _table_traces.get(p)
+    if t is None:
+        t = _trace(p)
     s_prev, s = 1, t
     if k == 0:
         return 1
@@ -154,7 +164,16 @@ def b_coeff(n):
 
 
 def b_table(n_max):
-    return CoeffTable("B", n_max, sieve_multiplicative(b_prime_power, n_max))
+    """Sieved b table.  Its split traces come from one enumeration of
+    x^2 + 7y^2 (quadfield.split_traces); each b(p^k) is still evaluated by
+    b_prime_power."""
+    global _table_traces
+    _table_traces = split_traces(n_max)
+    try:
+        values = sieve_multiplicative(b_prime_power, n_max)
+    finally:
+        _table_traces = {}
+    return CoeffTable("B", n_max, values)
 
 
 def b_oracle(n):
@@ -230,21 +249,32 @@ def _local_expansion(p, n_max):
 # ---------------------------------------------------------------------------
 # c(n) = (a(n) - b(n))/8, two ways
 
-def c_table(n_max):
+def c_table(n_max, at=None):
     """Fourier coefficients of the quotient via the decomposition identity.
 
     c is written over a's own value list, so no third table of big ints
-    is ever alive."""
+    is ever alive, and b is built before a, so b_table's split traces are
+    freed before both tables are.  Given an iterable `at` of indices,
+    returns (table, [a(n) for n in at], [b(n) for n in at]) instead, the
+    values read before c overwrites a; `at` is consumed only once both
+    tables exist."""
+    bv = b_table(n_max).values
     av = a_table(n_max).values
-    _eighths(av, b_table(n_max).values, av)
-    return CoeffTable("C", n_max, av)
+    if at is not None:
+        a_at, b_at = [], []
+        for n in at:
+            a_at.append(av[n])
+            b_at.append(bv[n])
+    _eighths(av, bv, av)
+    c = CoeffTable("C", n_max, av)
+    return c if at is None else (c, a_at, b_at)
 
 
 def identity_tables(n_max):
     """(a_table, b_table, c_table) on 1..n_max, each of a and b computed
     once."""
-    a = a_table(n_max)
     b = b_table(n_max)
+    a = a_table(n_max)
     c = _eighths(a.values, b.values, [0] * (n_max + 1))
     return a, b, CoeffTable("C", n_max, c)
 

@@ -13,6 +13,7 @@ from cycloeta.analysis import (
     nondecomp_witness,
     uniqueness_hypotheses,
 )
+from cycloeta.arith import primes_up_to
 from cycloeta.etaprod import cyclotomic_spec, expand
 from cycloeta.lseries import CoeffTable, c_table, coeff_table_from_series, expansion_values
 
@@ -37,6 +38,20 @@ def test_check_positivity_small():
     assert {m.case for m in report.casewise} == {"ramified", "split", "inert"}
     # one margin per prime power in range
     assert sum(1 for m in report.casewise if m.p == 2) == 8
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 49, 5000])
+def test_check_positivity_margins_from_tables_match_closed_forms(n_max):
+    closed = [
+        case_margin(p, k)
+        for p in primes_up_to(n_max)
+        for k in range(1, n_max.bit_length() + 1)
+        if p**k <= n_max
+    ]
+    report = check_positivity(n_max)
+    assert report.casewise == closed
+    assert report.casewise == check_positivity(n_max, c_table(n_max)).casewise
+    assert report.verified
 
 
 def test_check_positivity_flags_injected_failure():

@@ -14,6 +14,7 @@ from cycloeta.arith import (
     factorize,
     is_prime,
     moebius,
+    prime_flags,
     primes_up_to,
     sieve_multiplicative,
     spf_table,
@@ -145,6 +146,22 @@ def test_is_prime_past_each_base_set():
     assert is_prime(2**31 - 1)
     assert is_prime(2**61 - 1)
     assert not is_prime(1_000_003 * (2**61 - 1))
+
+
+def test_is_prime_refuses_the_unproven_range():
+    # 3317044064679887385961981 is the first n no proven base set covers
+    limit = 3_317_044_064_679_887_385_961_981
+    assert not is_prime(limit - 1)
+    for n in (limit, (2**31 - 1) * (2**61 - 1), 2**89 - 1, 2 * limit):
+        with pytest.raises(ValueError, match="proven only below"):
+            is_prime(n)
+
+
+def test_prime_flags_match_primes_up_to():
+    for n in range(0, 300):
+        flags = prime_flags(n)
+        assert len(flags) == n + 1
+        assert [m for m in range(n + 1) if flags[m]] == primes_up_to(n)
 
 
 SIEVE_KEY_PRIMES = primes_up_to(60)

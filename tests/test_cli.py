@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism, env override."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cycloeta
-from cycloeta import analysis, cli, lseries
+from cycloeta import analysis, cli, lseries, quadfield
 from cycloeta.cli import run
 
 try:
@@ -206,6 +207,30 @@ def test_arithmetic_failure_exits_one(capsys, monkeypatch):
     assert "mathematical check failed" in err
 
 
+def test_missed_split_prime_exits_one(capsys, monkeypatch):
+    honest = quadfield._prime_reps
+
+    def hiding(n_max, flags):
+        return (rep for rep in honest(n_max, flags) if rep[0] != 16417)
+
+    monkeypatch.setattr(quadfield, "_prime_reps", hiding)
+    code, out, err = capture(capsys, ["coeffs", "--n-max", "20000"])
+    assert (code, out) == (1, "")
+    assert "mathematical check failed" in err and "16417" in err
+
+
+GOLDEN_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden_stdout.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS))
+def test_golden_stdout(capsys, argv):
+    code, out, _ = capture(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
 def _declared_console_script():
     """The `cycloeta` target declared under [project.scripts] in pyproject.toml."""
     text = PYPROJECT.read_text(encoding="utf-8")
@@ -238,8 +263,10 @@ def _child_env():
     return env
 
 
-def _run(argv):
-    return subprocess.run(argv, input="", capture_output=True, text=True, env=_child_env())
+def _run(argv, timeout=None):
+    return subprocess.run(
+        argv, input="", capture_output=True, text=True, env=_child_env(), timeout=timeout
+    )
 
 
 def _assert_exit_codes(command):
@@ -278,3 +305,16 @@ def test_installed_console_script_runs():
 
 def test_module_form_runs():
     _assert_exit_codes([sys.executable, "-m", "cycloeta"])
+
+
+def test_unproven_primality_is_usage_error():
+    # (2^31 - 1)(2^61 - 1) > 3.3e24, past every proven Miller-Rabin base set;
+    # trial division on it never finished, so a regression times out here
+    proc = _run(
+        [sys.executable, "-m", "cycloeta", "nondecomp", "--p", "4951760154835678088235319297"],
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "cycloeta: error:" in proc.stderr and "is_prime" in proc.stderr
+    assert "Traceback" not in proc.stderr

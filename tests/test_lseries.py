@@ -7,7 +7,7 @@ written.
 
 import pytest
 
-from cycloeta import lseries
+from cycloeta import lseries, quadfield
 from cycloeta.arith import epsilon, primes_up_to
 from cycloeta.etaprod import cyclotomic_spec, expand
 from cycloeta.lseries import (
@@ -114,6 +114,30 @@ def test_euler_truncate_matches_b_table():
     assert euler_truncate(2000).values == b_table(2000).values
     with pytest.raises(ValueError):
         euler_truncate(100, prime_bound=50)
+
+
+def test_b_table_never_runs_cornacchia(monkeypatch):
+    # the Euler-product oracle reaches the split traces through split_rep;
+    # b_table reads them off one enumeration of x^2 + 7y^2
+    before = b_table(20_000)
+    euler = euler_truncate(20_000)
+    assert before == euler
+
+    def refuse(p):
+        raise AssertionError(f"split_rep({p}) called")
+
+    monkeypatch.setattr(quadfield, "split_rep", refuse)
+    lseries._trace.cache_clear()
+    assert b_table(20_000) == before
+    assert lseries._table_traces == {}
+
+
+def test_c_table_reads_a_and_b_at_indices_before_the_overwrite():
+    at = [1, 2, 7, 41, 49, 300]
+    c, a_at, b_at = c_table(300, at=iter(at))
+    assert c == c_table(300)
+    assert a_at == [a_coeff(n) for n in at]
+    assert b_at == [b_coeff(n) for n in at]
 
 
 def test_c_table_identity_and_misprint_value():

@@ -9,41 +9,25 @@ Exit codes: 0 success / check verified, 1 a mathematical check failed,
 is not given.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
+from operator import itemgetter
 
-from . import analysis, etaprod, lseries
-from .reference import TABULATED_C50
+from . import analysis, etaprod, lseries, reference
+from .qseries import InexactDivisionError
+from .quadfield import InconsistencyError, SplittingError
 
 ENV_N_MAX = "CYCLOETA_N_MAX"
 
-_DEFAULT_N_MAX = {
-    "expand": 50,
-    "coeffs": 50,
-    "verify": 2000,
-    "positivity": 2000,
-    "uniqueness": 300,
-    "scan": 500,
-}
+_DEFAULT_N_MAX = {"expand": 50, "coeffs": 50, "verify": 2000, "positivity": 2000,
+                  "uniqueness": 300, "scan": 500}
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    fmt: str
-    out_path: str | None
-    n_max: int | None
-    h: int | None = None
-    p: int | None = None
-    h_max: int | None = None
-    spec: etaprod.EtaQuotientSpec | None = None
+# the package's own check failures (exit 1); any other exception is a bug
+_CHECK_FAILURES = (
+    lseries.IdentityViolation, InconsistencyError, SplittingError, InexactDivisionError
+)
 
 
 def _parse_spec_string(text):
@@ -71,9 +55,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, with_n_max=True):
-        sp.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text"
-        )
+        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--output", metavar="PATH", default=None)
         if with_n_max:
             sp.add_argument(
@@ -93,9 +75,7 @@ def build_parser():
     sp = sub.add_parser("coeffs", help="a(n), b(n), c(n) tables")
     add_common(sp)
 
-    sp = sub.add_parser(
-        "verify", help="c = (a-b)/8 against the direct q-expansion"
-    )
+    sp = sub.add_parser("verify", help="c = (a-b)/8 against the direct q-expansion")
     add_common(sp)
 
     sp = sub.add_parser("positivity", help="c(n) > 0 and case inequalities")
@@ -118,7 +98,10 @@ def build_parser():
     return parser
 
 
-def _resolve_n_max(args, parser):
+# ---------------------------------------------------------------------------
+# option resolution: a ValueError here is a usage error (exit 2)
+
+def _resolve_n_max(args):
     if getattr(args, "n_max", None) is not None:
         n_max = args.n_max
     else:
@@ -127,176 +110,142 @@ def _resolve_n_max(args, parser):
             try:
                 n_max = int(env)
             except ValueError:
-                parser.error(f"${ENV_N_MAX}={env!r} is not an integer")
+                raise ValueError(f"${ENV_N_MAX}={env!r} is not an integer") from None
         else:
             n_max = _DEFAULT_N_MAX[args.command]
     if n_max < 1:
-        parser.error("n-max must be >= 1")
+        raise ValueError("n-max must be >= 1")
     return n_max
 
 
-def _resolve_spec(args, parser, default_h=None):
+def _resolve_spec(args):
+    """(spec, h) from --h, --spec or --corpus; the h = 7 quotient by default."""
     given = [x for x in (args.h, args.spec, args.corpus) if x is not None]
     if len(given) > 1:
-        parser.error("give at most one of --h, --spec, --corpus")
-    if args.h is not None:
-        if args.h < 2:
-            parser.error("--h must be >= 2")
-        return etaprod.cyclotomic_spec(args.h), args.h
+        raise ValueError("give at most one of --h, --spec, --corpus")
     if args.corpus is not None:
         return etaprod.CORPUS[args.corpus], None
     if args.spec is not None:
-        try:
-            return _parse_spec_string(args.spec), None
-        except ValueError as exc:
-            parser.error(str(exc))
-    if default_h is not None:
-        return etaprod.cyclotomic_spec(default_h), default_h
-    parser.error("one of --h, --spec, --corpus is required")
+        return _parse_spec_string(args.spec), None
+    h = 7 if args.h is None else args.h
+    if h < 2:
+        raise ValueError("--h must be >= 2")
+    return etaprod.cyclotomic_spec(h), h
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, exit_code)
+# command handlers: _cmd_<command>(args) returns (payload, exit_code).  A
+# report dataclass becomes its JSON object through vars(): its fields are
+# declared in the payload's key order.
 
-def _cmd_expand(spec, h, n_max):
-    series = etaprod.expand(spec, n_max)
+def _expand_spec(args):
+    """The series to n_max and the payload head shared by expand and uniqueness."""
+    spec, h = _resolve_spec(args)
+    n_max = _resolve_n_max(args)
+    terms = [list(t) for t in spec.terms]
+    head = {"command": args.command, "spec_terms": terms, "h": h, "n_max": n_max}
+    return etaprod.expand(spec, n_max), spec, head
+
+
+def _cmd_expand(args):
+    series, spec, payload = _expand_spec(args)
     integral = series.order24 % 24 == 0
-    rows = []
-    for i, c in enumerate(series.coeffs):
-        num24 = series.order24 + 24 * i
-        rows.append([num24 // 24 if integral else num24, c])
-    payload = {
-        "command": "expand",
-        "spec_terms": [list(t) for t in spec.terms],
-        "h": h,
-        "n_max": n_max,
-        "order24": series.order24,
-        "exponent_integral": integral,
-        "weight": str(spec.weight()),
-        "row_key": "n" if integral else "num24",
-        "rows": rows,
-    }
-    if h == 7 and integral:
-        computed = {r[0]: r[1] for r in rows}
-        disc = {
-            str(n): {"tabulated": t, "computed": computed[n]}
-            for n, t in TABULATED_C50.items()
-            if n in computed and computed[n] != t
-        }
-        payload["known_discrepancies"] = disc
+    first, step = (series.order24 // 24, 1) if integral else (series.order24, 24)
+    rows = [[first + step * i, c] for i, c in enumerate(series.coeffs)]
+    payload.update(
+        order24=series.order24,
+        exponent_integral=integral,
+        weight=str(spec.weight()),
+        row_key="n" if integral else "num24",
+        rows=rows,
+    )
+    if payload["h"] == 7:
+        # the table is merged under the rows, so an uncovered n is no discrepancy
+        computed = {**reference.TABULATED_C50, **dict(rows)}
+        payload["known_discrepancies"] = reference.tabulation_discrepancies(computed)
     return payload, 0
 
 
-def _cmd_coeffs(n_max):
+def _cmd_coeffs(args):
+    n_max = _resolve_n_max(args)
     av, bv, cv = (t.values for t in lseries.identity_tables(n_max))
     rows = [[n, av[n], bv[n], cv[n]] for n in range(1, n_max + 1)]
     return {"command": "coeffs", "n_max": n_max, "rows": rows}, 0
 
 
-def _cmd_verify(n_max):
+def _cmd_verify(args):
+    n_max = _resolve_n_max(args)
     identity = lseries.c_table(n_max)
     expansion = lseries.c_table_from_expansion(n_max)
-    first_mismatch = None
-    for n in range(1, n_max + 1):
-        if identity[n] != expansion[n]:
-            first_mismatch = n
-            break
-    holds = first_mismatch is None
+    first_mismatch = next(
+        (n for n in range(1, n_max + 1) if identity[n] != expansion[n]), None
+    )
     payload = {
         "command": "verify",
         "n_max": n_max,
-        "identity_holds": holds,
+        "identity_holds": first_mismatch is None,
         "first_mismatch": first_mismatch,
     }
     if first_mismatch is not None:
         payload["identity_value"] = identity[first_mismatch]
         payload["expansion_value"] = expansion[first_mismatch]
-    return payload, 0 if holds else 1
+    return payload, 0 if first_mismatch is None else 1
 
 
-def _cmd_positivity(n_max):
-    report = analysis.check_positivity(n_max)
+def _cmd_positivity(args):
+    report = analysis.check_positivity(_resolve_n_max(args))
     payload = {
         "command": "positivity",
         "n_max": report.n_max,
         "verified": report.verified,
         "failures": report.failures,
-        "inequality_failures": [_margin_dict(m) for m in report.inequality_failures],
-        "casewise": [_margin_dict(m) for m in report.casewise],
+        "inequality_failures": list(map(vars, report.inequality_failures)),
+        "casewise": list(map(vars, report.casewise)),
     }
     return payload, 0 if report.verified else 1
 
 
-def _margin_dict(m):
-    return {
-        "p": m.p,
-        "k": m.k,
-        "case": m.case,
-        "a": m.a,
-        "abs_b": m.abs_b,
-        "ok": m.ok,
-    }
-
-
-def _cmd_nondecomp(p):
-    witness = analysis.nondecomp_witness(p)
-    payload = {
-        "command": "nondecomp",
-        "p": witness.p,
-        "bound": witness.bound,
-        "m": witness.m,
-        "zero_range_ok": witness.zero_range_ok,
-        "nonzero_range_ok": witness.nonzero_range_ok,
-        "valid": witness.valid,
-    }
+def _cmd_nondecomp(args):
+    witness = analysis.nondecomp_witness(args.p)
+    payload = {"command": "nondecomp", **vars(witness), "valid": witness.valid}
     return payload, 0 if witness.valid else 1
 
 
-def _cmd_uniqueness(spec, h, n_max):
-    series = etaprod.expand(spec, n_max)
-    values = lseries.expansion_values(series, n_max)
-    report = analysis.uniqueness_hypotheses(values)
-    payload = {
-        "command": "uniqueness",
-        "spec_terms": [list(t) for t in spec.terms],
-        "h": h,
-        "n_max": n_max,
-        "c1_zero": report.c1_zero,
-        "witness_indices": list(report.witness.indices) if report.witness else None,
-        "witness_coeffs": list(report.witness.coeffs) if report.witness else None,
-        "searched_to": report.searched_to,
-        "verified": report.verified,
-    }
+def _cmd_uniqueness(args):
+    series, _, payload = _expand_spec(args)
+    report = analysis.uniqueness_hypotheses(
+        lseries.expansion_values(series, payload["n_max"])
+    )
+    witness = report.witness
+    payload.update(
+        c1_zero=report.c1_zero,
+        witness_indices=list(witness.indices) if witness else None,
+        witness_coeffs=list(witness.coeffs) if witness else None,
+        searched_to=report.searched_to,
+        verified=report.verified,
+    )
     return payload, 0 if report.verified else 1
 
 
-def _cmd_scan(h_max, n_max):
-    entries = analysis.conjecture_scan(h_max, n_max)
-    payload = {
-        "command": "scan",
-        "h_max": h_max,
-        "n_max": n_max,
-        "entries": [
-            {
-                "h": e.h,
-                "checked_to": e.checked_to,
-                "order24": e.order24,
-                "exponent_integral": e.exponent_integral,
-                "first_negative_num24": e.first_negative_num24,
-                "truncation_limited": e.truncation_limited,
-            }
-            for e in entries
-        ],
-    }
-    return payload, 0
+def _cmd_scan(args):
+    if args.h_max < 2:
+        raise ValueError("--h-max must be >= 2")
+    n_max = _resolve_n_max(args)
+    entries = list(map(vars, analysis.conjecture_scan(args.h_max, n_max)))
+    return {"command": "scan", "h_max": args.h_max, "n_max": n_max, "entries": entries}, 0
 
 
 # ---------------------------------------------------------------------------
 # payload readers: rebuild report objects from parsed JSON output, so the
 # machine-readable format is checkable against the reports it came from
 
+def _from_dict(cls, d):
+    """The report dataclass `cls` whose fields are the same-named keys of d."""
+    return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
 def margin_from_dict(d):
-    return analysis.CaseMargin(d["p"], d["k"], d["case"], d["a"], d["abs_b"], d["ok"])
+    return _from_dict(analysis.CaseMargin, d)
 
 
 def spec_from_payload(payload):
@@ -304,22 +253,15 @@ def spec_from_payload(payload):
 
 
 def positivity_from_payload(payload):
-    return analysis.PositivityReport(
-        payload["n_max"],
-        list(payload["failures"]),
-        [margin_from_dict(m) for m in payload["casewise"]],
-        [margin_from_dict(m) for m in payload["inequality_failures"]],
-    )
+    margins = {
+        key: [margin_from_dict(m) for m in payload[key]]
+        for key in ("casewise", "inequality_failures")
+    }
+    return _from_dict(analysis.PositivityReport, {**payload, **margins})
 
 
 def nondecomp_from_payload(payload):
-    return analysis.NondecompWitness(
-        payload["p"],
-        payload["bound"],
-        payload["m"],
-        payload["zero_range_ok"],
-        payload["nonzero_range_ok"],
-    )
+    return _from_dict(analysis.NondecompWitness, payload)
 
 
 def uniqueness_from_payload(payload):
@@ -328,90 +270,56 @@ def uniqueness_from_payload(payload):
         witness = analysis.UniquenessWitness(
             tuple(payload["witness_indices"]), tuple(payload["witness_coeffs"])
         )
-    return analysis.UniquenessReport(
-        payload["c1_zero"], witness, payload["searched_to"]
-    )
+    return _from_dict(analysis.UniquenessReport, {**payload, "witness": witness})
 
 
 def scan_from_payload(payload):
-    return [
-        analysis.ScanEntry(
-            h=e["h"],
-            checked_to=e["checked_to"],
-            order24=e["order24"],
-            exponent_integral=e["exponent_integral"],
-            first_negative_num24=e["first_negative_num24"],
-            truncation_limited=e["truncation_limited"],
-        )
-        for e in payload["entries"]
-    ]
+    return [_from_dict(analysis.ScanEntry, e) for e in payload["entries"]]
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: _render_<format>(payload) returns the report text
+
+# record-style commands: the payload key holding the records (None: the
+# payload itself is the one record), and the CSV columns
+_CSV_RECORDS = {
+    "verify": (None, ("n_max", "identity_holds", "first_mismatch")),
+    "positivity": ("casewise", ("p", "k", "case", "a", "abs_b", "ok")),
+    "nondecomp": (None, ("p", "bound", "m", "zero_range_ok", "nonzero_range_ok",
+                         "valid")),
+    "scan": ("entries", ("h", "order24", "exponent_integral", "first_negative_num24",
+                         "checked_to")),
+}
+
 
 def _render_json(payload):
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _render_csv(payload):
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     cmd = payload["command"]
-    if cmd == "expand":
-        writer.writerow([payload["row_key"], "coefficient"])
-        writer.writerows(payload["rows"])
+    if cmd in _CSV_RECORDS:
+        key, columns = _CSV_RECORDS[cmd]
+        writer.writerow(columns)
+        writer.writerows(map(itemgetter(*columns), payload[key] if key else [payload]))
+    elif cmd == "uniqueness":
+        writer.writerow(["c1_zero", "indices", "coeffs", "searched_to", "verified"])
+        idx, cfs = (payload[k] or () for k in ("witness_indices", "witness_coeffs"))
+        row = [payload["c1_zero"], " ".join(map(str, idx)), " ".join(map(str, cfs))]
+        writer.writerow(row + [payload["searched_to"], payload["verified"]])
     elif cmd == "coeffs":
         writer.writerow(["n", "a", "b", "c"])
         writer.writerows(payload["rows"])
-    elif cmd == "verify":
-        writer.writerow(["n_max", "identity_holds", "first_mismatch"])
-        writer.writerow(
-            [payload["n_max"], payload["identity_holds"], payload["first_mismatch"]]
-        )
-    elif cmd == "positivity":
-        writer.writerow(["p", "k", "case", "a", "abs_b", "ok"])
-        for m in payload["casewise"]:
-            writer.writerow([m["p"], m["k"], m["case"], m["a"], m["abs_b"], m["ok"]])
-    elif cmd == "nondecomp":
-        writer.writerow(["p", "bound", "m", "zero_range_ok", "nonzero_range_ok", "valid"])
-        writer.writerow(
-            [
-                payload["p"],
-                payload["bound"],
-                payload["m"],
-                payload["zero_range_ok"],
-                payload["nonzero_range_ok"],
-                payload["valid"],
-            ]
-        )
-    elif cmd == "uniqueness":
-        writer.writerow(["c1_zero", "indices", "coeffs", "searched_to", "verified"])
-        idx = payload["witness_indices"]
-        cfs = payload["witness_coeffs"]
-        writer.writerow(
-            [
-                payload["c1_zero"],
-                " ".join(map(str, idx)) if idx else "",
-                " ".join(map(str, cfs)) if cfs else "",
-                payload["searched_to"],
-                payload["verified"],
-            ]
-        )
-    elif cmd == "scan":
-        writer.writerow(
-            ["h", "order24", "exponent_integral", "first_negative_num24", "checked_to"]
-        )
-        for e in payload["entries"]:
-            writer.writerow(
-                [
-                    e["h"],
-                    e["order24"],
-                    e["exponent_integral"],
-                    e["first_negative_num24"],
-                    e["checked_to"],
-                ]
-            )
+    else:
+        writer.writerow([payload["row_key"], "coefficient"])
+        writer.writerows(payload["rows"])
     return buf.getvalue()
 
 
@@ -420,9 +328,7 @@ def _render_text(payload):
     lines = []
     if cmd == "expand":
         key = payload["row_key"]
-        spec = "*".join(
-            f"eta({s}t)^{e}" for s, e in payload["spec_terms"]
-        )
+        spec = "*".join(f"eta({s}t)^{e}" for s, e in payload["spec_terms"])
         lines.append(f"expansion of {spec} to n_max={payload['n_max']}")
         if not payload["exponent_integral"]:
             lines.append(
@@ -442,9 +348,7 @@ def _render_text(payload):
             lines.append(f"{n} {a} {b} {c}")
     elif cmd == "verify":
         if payload["identity_holds"]:
-            lines.append(
-                f"identity c=(a-b)/8 holds on [1,{payload['n_max']}]"
-            )
+            lines.append(f"identity c=(a-b)/8 holds on [1,{payload['n_max']}]")
         else:
             n = payload["first_mismatch"]
             lines.append(
@@ -507,37 +411,16 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    # handlers and renderers are looked up at call time, so a wrapper bound
+    # over the module global after import is the one that runs
     try:
-        if args.command == "expand":
-            spec, h = _resolve_spec(args, parser, default_h=7)
-            payload, code = _cmd_expand(spec, h, _resolve_n_max(args, parser))
-        elif args.command == "coeffs":
-            payload, code = _cmd_coeffs(_resolve_n_max(args, parser))
-        elif args.command == "verify":
-            payload, code = _cmd_verify(_resolve_n_max(args, parser))
-        elif args.command == "positivity":
-            payload, code = _cmd_positivity(_resolve_n_max(args, parser))
-        elif args.command == "nondecomp":
-            payload, code = _cmd_nondecomp(args.p)
-        elif args.command == "uniqueness":
-            spec, h = _resolve_spec(args, parser, default_h=7)
-            payload, code = _cmd_uniqueness(spec, h, _resolve_n_max(args, parser))
-        else:
-            if args.h_max < 2:
-                parser.error("--h-max must be >= 2")
-            payload, code = _cmd_scan(args.h_max, _resolve_n_max(args, parser))
+        payload, code = globals()["_cmd_" + args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
-    except ArithmeticError as exc:
+    except _CHECK_FAILURES as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return 1
-
-    if args.format == "json":
-        text = _render_json(payload)
-    elif args.format == "csv":
-        text = _render_csv(payload)
-    else:
-        text = _render_text(payload)
+    text = globals()["_render_" + args.format](payload)
 
     if args.output:
         try:

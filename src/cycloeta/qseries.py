@@ -17,6 +17,10 @@ class InvertibilityError(ValueError):
     """Raised when inverting a series whose leading coefficient is not a unit."""
 
 
+class InexactDivisionError(ArithmeticError):
+    """Raised when a division that is exact for integer input leaves a remainder."""
+
+
 def pentagonal_terms(limit):
     """(exponent, sign) pairs of Euler's product up to `limit`, ascending.
 
@@ -173,7 +177,7 @@ def _sparse_power(tail, e, n):
 
     so each coefficient costs one pass over the active tail terms instead
     of dense products.  The division by k is exact for integer g and e;
-    it is checked, and a remainder raises ArithmeticError.
+    it is checked, and a remainder raises InexactDivisionError.
     """
     out = []
     append = out.append
@@ -193,7 +197,7 @@ def _sparse_power(tail, e, n):
             acc = sum(map(mul, jweights, vals)) - k * sum(map(mul, weights, vals))
             q, r = divmod(acc, k)
             if r:
-                raise ArithmeticError(
+                raise InexactDivisionError(
                     f"power recurrence: division by {k} is not exact"
                 )
             append(q)

@@ -1,18 +1,24 @@
 """Command line behavior: formats, exit codes, determinism, env override."""
 
+import contextlib
+import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cycloeta
-from cycloeta import analysis, cli, lseries, quadfield
+from cycloeta import analysis, cli, etaprod, lseries, qseries, quadfield
 from cycloeta.cli import run
 
 try:
@@ -226,9 +232,168 @@ GOLDEN_DIGESTS = json.loads(
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS))
 def test_golden_stdout(capsys, argv):
+    # a bare digest means exit 0; a failing check records its exit code beside it
+    golden = GOLDEN_DIGESTS[argv]
+    if isinstance(golden, str):
+        golden = {"exit": 0, "sha256": golden}
     code, out, _ = capture(capsys, argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[argv]
+    assert code == golden["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden["sha256"]
+
+
+# ---------------------------------------------------------------------------
+# failure renderings: one stage patched to report a failed check
+
+VERIFY_FAILS = {
+    "text": "identity FAILS at n=17: decomposition gives 36, expansion gives 44\n",
+    "json": (
+        '{\n  "command": "verify",\n  "n_max": 30,\n  "identity_holds": false,\n'
+        '  "first_mismatch": 17,\n  "identity_value": 36,\n  "expansion_value": 44\n}\n'
+    ),
+    "csv": "n_max,identity_holds,first_mismatch\n30,False,17\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_FAILS))
+def test_verify_failure_renderings(capsys, monkeypatch, fmt):
+    honest = lseries.c_table_from_expansion
+
+    def perturbed(n_max):
+        values = honest(n_max).values
+        values[17] += 8
+        return lseries.CoeffTable("C", n_max, values)
+
+    monkeypatch.setattr(lseries, "c_table_from_expansion", perturbed)
+    code, out, _ = capture(capsys, ["verify", "--n-max", "30", "--format", fmt])
+    assert (code, out) == (1, VERIFY_FAILS[fmt])
+
+
+def _margin_json(p, k, case, a, abs_b, ok):
+    return (
+        f'    {{\n      "p": {p},\n      "k": {k},\n      "case": "{case}",\n'
+        f'      "a": {a},\n      "abs_b": {abs_b},\n      "ok": {ok}\n    }}'
+    )
+
+
+POSITIVITY_FAILS = {
+    "text": (
+        "positivity FAILED for 2 <= n <= 4 (3 prime-power margins checked)\n"
+        "c(3) <= 0\n"
+        "case inequality fails at 3^1\n"
+    ),
+    "json": (
+        '{\n  "command": "positivity",\n  "n_max": 4,\n  "verified": false,\n'
+        '  "failures": [\n    3\n  ],\n  "inequality_failures": [\n'
+        + _margin_json(3, 1, "inert", 8, 0, "false")
+        + '\n  ],\n  "casewise": [\n'
+        + _margin_json(2, 1, "split", 5, 3, "true") + ",\n"
+        + _margin_json(2, 2, "split", 21, 5, "true") + ",\n"
+        + _margin_json(3, 1, "inert", 8, 0, "false")
+        + "\n  ]\n}\n"
+    ),
+    "csv": "p,k,case,a,abs_b,ok\n2,1,split,5,3,True\n2,2,split,21,5,True\n3,1,inert,8,0,False\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(POSITIVITY_FAILS))
+def test_positivity_failure_renderings(capsys, monkeypatch, fmt):
+    honest = analysis.check_positivity
+
+    def failing(n_max):
+        report = honest(n_max)
+        bad = dataclasses.replace(report.casewise[2], ok=False)  # 3^1
+        return analysis.PositivityReport(n_max, [3], report.casewise[:2] + [bad], [bad])
+
+    monkeypatch.setattr(analysis, "check_positivity", failing)
+    code, out, _ = capture(capsys, ["positivity", "--n-max", "4", "--format", fmt])
+    assert (code, out) == (1, POSITIVITY_FAILS[fmt])
+
+
+NONDECOMP_FAILS = {
+    "text": (
+        "p=13: witness INVALID (bound=7, m=5, zero_range_ok=False, "
+        "nonzero_range_ok=True)\n"
+    ),
+    "json": (
+        '{\n  "command": "nondecomp",\n  "p": 13,\n  "bound": 7,\n  "m": 5,\n'
+        '  "zero_range_ok": false,\n  "nonzero_range_ok": true,\n  "valid": false\n}\n'
+    ),
+    "csv": "p,bound,m,zero_range_ok,nonzero_range_ok,valid\n13,7,5,False,True,False\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(NONDECOMP_FAILS))
+def test_nondecomp_failure_renderings(capsys, monkeypatch, fmt):
+    honest = analysis.nondecomp_witness
+    monkeypatch.setattr(
+        analysis,
+        "nondecomp_witness",
+        lambda p: dataclasses.replace(honest(p), zero_range_ok=False),
+    )
+    code, out, _ = capture(capsys, ["nondecomp", "--p", "13", "--format", fmt])
+    assert (code, out) == (1, NONDECOMP_FAILS[fmt])
+
+
+def test_programming_errors_are_not_check_failures(capsys, monkeypatch):
+    # only the package's own check failures exit 1; a ZeroDivisionError is a bug
+    def bug(n_max):
+        raise ZeroDivisionError("integer division or modulo by zero")
+
+    monkeypatch.setattr(lseries, "identity_tables", bug)
+    with pytest.raises(ZeroDivisionError):
+        run(["coeffs", "--n-max", "10"])
+    assert capsys.readouterr().err == ""
+
+
+def test_inexact_power_recurrence_exits_one(capsys, monkeypatch):
+    # the real recurrence on a non-integral tail, (1 + q/2)^1, leaves a remainder
+    def inexact(tail, e, n):
+        return qseries._sparse_power([(1, Fraction(1, 2))], 1, 3)
+
+    monkeypatch.setattr(etaprod, "_sparse_power", inexact)
+    code, out, err = capture(capsys, ["expand", "--n-max", "10"])
+    assert (code, out) == (1, "")
+    assert err == "mathematical check failed: power recurrence: division by 1 is not exact\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzz: the exit-code contract over small argument vectors
+
+_SELECTORS = st.one_of(
+    st.just([]),
+    st.integers(1, 12).map(lambda h: ["--h", str(h)]),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(-3, 4)), min_size=1, max_size=4).map(
+        lambda terms: ["--spec", ",".join(f"{s}:{e}" for s, e in terms)]
+    ),
+    st.sampled_from(sorted(etaprod.CORPUS)).map(lambda name: ["--corpus", name]),
+)
+_N_MAX = st.one_of(st.just([]), st.integers(0, 60).map(lambda n: ["--n-max", str(n)]))
+_OPTIONS = {
+    "expand": st.tuples(_SELECTORS, _N_MAX),
+    "uniqueness": st.tuples(_SELECTORS, _N_MAX),
+    "coeffs": st.tuples(_N_MAX),
+    "verify": st.tuples(_N_MAX),
+    "positivity": st.tuples(_N_MAX),
+    "nondecomp": st.tuples(st.integers(-5, 200).map(lambda p: ["--p", str(p)])),
+    "scan": st.tuples(st.integers(1, 12).map(lambda h: ["--h-max", str(h)]), _N_MAX),
+}
+_ARGV = st.sampled_from(sorted(_OPTIONS)).flatmap(
+    lambda cmd: st.tuples(_OPTIONS[cmd], st.sampled_from(("text", "json", "csv"))).map(
+        lambda drawn: [cmd, *(a for opt in drawn[0] for a in opt), "--format", drawn[1]]
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_ARGV)
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
 
 
 def _declared_console_script():
@@ -318,3 +483,11 @@ def test_unproven_primality_is_usage_error():
     assert proc.stdout == ""
     assert "cycloeta: error:" in proc.stderr and "is_prime" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_json_and_csv_unloaded():
+    # json and csv load only in the renderers that need them, off every
+    # command's start-up path
+    probe = "import sys, cycloeta.cli; print(sorted({'json', 'csv'} & set(sys.modules)))"
+    proc = _run([sys.executable, "-c", probe])
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

@@ -11,13 +11,9 @@ eta(h*tau)^h / eta(tau).
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import qseries
 from .arith import divisors, moebius, totient
-from .qseries import (
-    QSeries,
-    _solve_quotient,
-    _sparse_power,
-    pentagonal_terms,
-)
+from .qseries import QSeries, _solve_quotient, _sparse_power, pentagonal_terms
 
 
 @dataclass(frozen=True)
@@ -91,18 +87,46 @@ def cyclotomic_spec(h):
     return EtaQuotientSpec(tuple((s, e) for s, e in exps.items() if e))
 
 
+def _product(factors, n):
+    """First n coefficients of prod (1 + t(q^s))^e over the (s, t, e) in
+    `factors`, where each tail t is ascending (offset, coefficient) pairs
+    with positive offsets: Euler's pentagonal tail for an eta factor, the
+    binomial [(1, -1)] for the cyclotomic family.
+
+    Positive factors come first, in list order: each is raised by Miller's
+    power recurrence at its own length ceil(n/s) and stretched by s, so the
+    structural zeros of q -> q^s are never multiplied, and every one after
+    the first is multiplied into the running product as a dense series.
+    Negative factors then divide, -e times each, against their stretched
+    tails, so quotient coefficients are produced directly (no inverse
+    series, whose coefficients grow like partition numbers, is ever
+    materialized).  Scales may repeat; an exponent 0 contributes nothing.
+    """
+    # qseries._mul_lists and this module's _solve_quotient are looked up at
+    # call time, so wrappers bound over them after import (perfbench/spans.py)
+    # are the ones that run.
+    acc = None
+    for s, tail, e in factors:
+        if e > 0:
+            power = [0] * n
+            power[::s] = _sparse_power(tail, e, (n - 1) // s + 1)
+            acc = power if acc is None else qseries._mul_lists(power, acc, n)
+    if acc is None:
+        acc = [1] + [0] * (n - 1)
+    for s, tail, e in factors:
+        if e < 0:
+            den = [(g * s, c) for g, c in tail]
+            for _ in range(-e):
+                acc = _solve_quotient(acc, den, 1, n)
+    return acc
+
+
 def expand(spec, n_max):
     """q-expansion of the quotient through q**n_max, exactly.
 
     Returns a QSeries with order24 = spec.order24(); the window covers every
-    exponent (order24 + 24k)/24 <= n_max.  Each positive factor E(q^s)^e is
-    computed at its own length ceil(n/s) by Miller's power recurrence on the
-    pentagonal terms and then stretched by s, so the structural zeros of
-    q -> q^s are never multiplied; several positive factors multiply as
-    dense series.  Negative exponents divide against the sparse pentagonal
-    factor so quotient coefficients are produced directly (the intermediate
-    inverse series, whose coefficients grow like partition numbers, is never
-    materialized).
+    exponent (order24 + 24k)/24 <= n_max.  The factors E(q^s)^e go to
+    `_product` in ascending scale, each with the pentagonal tail it needs.
     """
     o24 = spec.order24()
     n_coeff = (24 * n_max - o24) // 24 + 1
@@ -110,54 +134,28 @@ def expand(spec, n_max):
         raise ValueError(
             f"n_max={n_max} is below the leading exponent {o24}/24"
         )
-    cur = None
-    for scale, e in spec.terms:
-        if e > 0:
-            m = (n_coeff - 1) // scale + 1
-            factor = [0] * n_coeff
-            factor[::scale] = _sparse_power(pentagonal_terms(m - 1), e, m)
-            cur = QSeries(factor) if cur is None else QSeries(factor) * cur
-    coeffs = [1] + [0] * (n_coeff - 1) if cur is None else list(cur.coeffs)
-    for scale, e in spec.terms:
-        if e < 0:
-            den = [
-                (g * scale, s)
-                for g, s in pentagonal_terms((n_coeff - 1) // scale)
-            ]
-            for _ in range(-e):
-                coeffs = _solve_quotient(coeffs, den, 1, n_coeff)
-    return QSeries(coeffs, o24)
+    factors = [
+        (s, pentagonal_terms((n_coeff - 1) // s), e) for s, e in spec.terms
+    ]
+    return QSeries(_product(factors, n_coeff), o24)
 
 
-def _cyclotomic_factor_series(d, m, degree):
-    """The d-th cyclotomic-family polynomial evaluated at lambda**m, as a
-    series through lambda**degree: (1-x^d)^phi(d) / prod_{t|d} (1-x^t)^mu(t)
-    with x = lambda**m."""
-    n = degree + 1
-    mono = [0] * n
-    mono[0] = 1
-    if d * m < n:
-        mono[d * m] = -1
-    cur = QSeries(mono, 0) ** totient(d)
-    coeffs = list(cur.coeffs)
-    for t in divisors(d):
-        mu = moebius(t)
-        if mu == 1:
-            coeffs = _solve_quotient(coeffs, [(t * m, -1)], 1, n)
-        elif mu == -1:
-            step = [0] * n
-            step[0] = 1
-            if t * m < n:
-                step[t * m] = -1
-            coeffs = list((QSeries(coeffs, 0) * QSeries(step, 0)).coeffs)
-    return QSeries(coeffs, 0)
+_BINOMIAL = [(1, -1)]
+
+
+def _family_factors(d, m):
+    """Factors of the d-th cyclotomic-family polynomial at x = lambda**m:
+    (1-x^d)^phi(d) / prod_{t|d} (1-x^t)^mu(t)."""
+    return [(d * m, _BINOMIAL, totient(d))] + [
+        (t * m, _BINOMIAL, -moebius(t)) for t in divisors(d)
+    ]
 
 
 def cyclotomic_poly_series(h, degree):
     """Truncated series of the h-th polynomial in the cyclotomic family."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    return _cyclotomic_factor_series(h, 1, degree)
+    return QSeries(_product(_family_factors(h, 1), degree + 1), 0)
 
 
 def cyclotomic_check(h, degree):
@@ -165,17 +163,9 @@ def cyclotomic_check(h, degree):
     through lambda**degree.  True iff the truncations agree everywhere."""
     if h < 2:
         raise ValueError("cyclotomic_check needs h >= 2")
-    n = degree + 1
-    lhs = QSeries([1] + [0] * (degree), 0)
-    for d in divisors(h):
-        lhs = lhs * _cyclotomic_factor_series(d, h // d, degree)
-    mono = [0] * n
-    mono[0] = 1
-    if h < n:
-        mono[h] = -1
-    num = QSeries(mono, 0) ** h
-    rhs = QSeries(_solve_quotient(list(num.coeffs), [(1, -1)], 1, n), 0)
-    return list(lhs.coeffs) == list(rhs.coeffs)
+    lhs = [f for d in divisors(h) for f in _family_factors(d, h // d)]
+    rhs = [(h, _BINOMIAL, h), (1, _BINOMIAL, -1)]
+    return _product(lhs, degree + 1) == _product(rhs, degree + 1)
 
 
 # Rescaled corpus: integer-exponent variants of small cyclotomic quotients.

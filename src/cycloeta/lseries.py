@@ -194,18 +194,12 @@ def b_oracle(n):
     return total_u // 2
 
 
-def euler_truncate(n_max, prime_bound=None):
+def euler_truncate(n_max):
     """Kind-B table from the truncated Euler product of the shifted Hecke
-    series: local factor 1/(1 + 7X) at 7, 1/(1 - q^2 X^2) at inert q, and
-    the reciprocal of the quadratic split factor elsewhere.
-
-    Every prime <= n_max must be covered, so prime_bound (default n_max)
-    may not be smaller than n_max.
+    series over every prime <= n_max: local factor 1/(1 + 7X) at 7,
+    1/(1 - q^2 X^2) at inert q, and the reciprocal of the quadratic split
+    factor elsewhere.
     """
-    if prime_bound is None:
-        prime_bound = n_max
-    if prime_bound < n_max:
-        raise ValueError("prime_bound below n_max leaves factors uncovered")
     table = [0] * (n_max + 1)
     table[1] = 1
     for p in primes_up_to(n_max):
@@ -303,13 +297,7 @@ def coeff_table_from_series(series, n_max, kind="C"):
         raise ValueError("table needs a series with positive leading degree")
     if lead + series.trunc - 1 < n_max:
         raise ValueError("series window too short for requested table")
-    out = [0] * (n_max + 1)
-    for i, c in enumerate(series.coeffs):
-        n = lead + i
-        if n > n_max:
-            break
-        out[n] = c
-    return CoeffTable(kind, n_max, out)
+    return CoeffTable(kind, n_max, expansion_values(series, n_max))
 
 
 def c_table_from_expansion(n_max):

@@ -13,10 +13,6 @@ silently.  Series are immutable once built.
 from operator import itemgetter, mul
 
 
-class InvertibilityError(ValueError):
-    """Raised when inverting a series whose leading coefficient is not a unit."""
-
-
 class InexactDivisionError(ArithmeticError):
     """Raised when a division that is exact for integer input leaves a remainder."""
 
@@ -204,17 +200,6 @@ def _sparse_power(tail, e, n):
     return out
 
 
-def _invert_list(a, n):
-    if not a or a[0] not in (1, -1):
-        raise InvertibilityError(
-            "series inverse needs leading coefficient +1 or -1, got %r"
-            % (a[0] if a else None)
-        )
-    terms = [(j, aj) for j, aj in enumerate(a[:n]) if j > 0 and aj]
-    one = [1] + [0] * (n - 1)
-    return _solve_quotient(one, terms, a[0], n)
-
-
 # ---------------------------------------------------------------------------
 
 class QSeries:
@@ -295,11 +280,10 @@ class QSeries:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
+        if e < 0:
+            raise ValueError("QSeries has no inverse; divide by a quotient solve")
         if e == 0:
             return QSeries([1] + [0] * (self.trunc - 1), 0)
-        if e < 0:
-            inv = QSeries(_invert_list(list(self.coeffs), self.trunc), -self.order24)
-            return inv ** (-e)
         n = self.trunc
         base = list(self.coeffs)
         result = None

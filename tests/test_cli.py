@@ -491,3 +491,23 @@ def test_cli_import_leaves_json_and_csv_unloaded():
     probe = "import sys, cycloeta.cli; print(sorted({'json', 'csv'} & set(sys.modules)))"
     proc = _run([sys.executable, "-c", probe])
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_perfbench_spans_wrap_a_several_factor_expand():
+    # perfbench/spans.py rebinds kernel and layer names after import; a
+    # refactor that drops or rebinds one of them breaks `run.py --trace 1`
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "from cycloeta import cli\n"
+        "code = cli.run(['expand', '--spec', '6:2,3:4,2:1,1:-2', '--n-max', '300'])\n"
+        "names = ('etaprod.expand', 'qseries.dispatch', 'qseries.schoolbook', 'qseries.solve')\n"
+        "assert all(tracer.calls[name] for name in names), tracer.calls\n"
+        "sys.exit(code)\n"
+    )
+    proc = _run([sys.executable, "-c", script], timeout=120)
+    assert proc.returncode == 0, proc.stderr

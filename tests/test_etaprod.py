@@ -2,24 +2,51 @@
 
 Frozen coefficient lists were computed by hand or with the literal-product
 oracle (multiply Euler factors, multiply by the inverse series) before the
-division-based `expand` existed.
+division-based `expand` existed.  `literal_product` shares no kernel with
+`etaprod._product`: it applies one binomial (1 - q^k) at a time.
+`dense_family_series` builds the cyclotomic family by binary powering and
+dense products, sharing only the quotient solve with `_product`.
 """
 
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloeta import lseries, qseries
-from cycloeta.arith import factorize, totient
+from cycloeta.arith import divisors, factorize, moebius, totient
 from cycloeta.etaprod import (
     CORPUS,
     EtaQuotientSpec,
+    _family_factors,
+    _product,
     cyclotomic_check,
     cyclotomic_poly_series,
     cyclotomic_spec,
     expand,
 )
-from cycloeta.qseries import QSeries, euler_series, euler_series_rescaled
+from cycloeta.qseries import QSeries, _solve_quotient, pentagonal_terms
+
+
+def literal_product(binomials, n):
+    """First n coefficients of prod (1 - q^k)^e over the (k, e) pairs,
+    multiplying or dividing by one (1 - q^k) at a time."""
+    out = [1] + [0] * (n - 1)
+    for k, e in binomials:
+        for _ in range(abs(e)):
+            if e > 0:  # times (1 - q^k), high coefficients first
+                for i in range(n - 1, k - 1, -1):
+                    out[i] -= out[i - k]
+            else:  # over (1 - q^k): the geometric series in q^k
+                for i in range(k, n):
+                    out[i] += out[i - k]
+    return out
+
+
+def eta_binomials(scale, e, n):
+    """E(q^scale)^e as binomials (1 - q^(scale*j))^e, j >= 1, below q^n."""
+    return [(scale * j, e) for j in range(1, (n - 1) // scale + 1)]
 
 
 def test_spec_validation():
@@ -125,19 +152,82 @@ def test_expand_empty_spec_is_one():
     assert list(s.coeffs) == [1, 0, 0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("h", [2, 3, 4, 5, 6, 7, 10, 12])
-def test_expand_matches_literal_product(h):
-    # oracle: build the same quotient from euler_series pieces, using
-    # multiplication by the inverse instead of the division solver
+LITERAL_SPECS = [
+    pytest.param(cyclotomic_spec(h), id=str(h)) for h in [2, 3, 4, 5, 6, 7, 10, 12]
+] + [
+    pytest.param(EtaQuotientSpec.from_map(m), id=key)
+    for key, m in [
+        ("6:2,3:4,2:1,1:-2", {6: 2, 3: 4, 2: 1, 1: -2}),
+        ("5:3,4:1,2:2,1:1", {5: 3, 4: 1, 2: 2, 1: 1}),
+        ("9:1,3:-2,2:5,1:-1", {9: 1, 3: -2, 2: 5, 1: -1}),
+    ]
+] + [pytest.param(spec, id=key) for key, spec in CORPUS.items()]
+
+
+@pytest.mark.parametrize("spec", LITERAL_SPECS)
+def test_expand_matches_literal_product(spec):
     n = 80
-    spec = cyclotomic_spec(h)
-    literal = QSeries([1] + [0] * (n - 1))
-    for scale, e in spec.terms:
-        literal = literal * (euler_series_rescaled(scale, n) ** e)
+    literal = literal_product(
+        [b for scale, e in spec.terms for b in eta_binomials(scale, e, n)], n
+    )
     got = expand(spec, (spec.order24() + 24 * (n - 1) + 23) // 24)
     assert got.trunc >= n
-    assert list(got.coeffs)[:n] == list(literal.coeffs)[:n]
+    assert list(got.coeffs)[:n] == literal
     assert got.order24 == spec.order24()
+
+
+factor_draws = st.lists(
+    st.tuples(
+        st.integers(1, 12), st.sampled_from(["pentagonal", "binomial"]), st.integers(-3, 4)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(factor_draws, st.integers(1, 200))
+@settings(max_examples=150, deadline=None)
+def test_product_matches_literal_product(draws, n):
+    factors, binomials = [], []
+    for scale, kind, e in draws:
+        if kind == "pentagonal":
+            factors.append((scale, pentagonal_terms((n - 1) // scale), e))
+            binomials += eta_binomials(scale, e, n)
+        else:
+            factors.append((scale, [(1, -1)], e))
+            binomials.append((scale, e))
+    assert _product(factors, n) == literal_product(binomials, n)
+
+
+def dense_family_series(d, m, degree):
+    """The d-th family polynomial at lambda**m through lambda**degree, by
+    binary powering the binomial and dense products."""
+    n = degree + 1
+
+    def binomial(k):
+        return QSeries([1] + [-1 if i == k else 0 for i in range(1, n)], 0)
+
+    coeffs = list((binomial(d * m) ** totient(d)).coeffs)
+    for t in divisors(d):
+        if moebius(t) == 1:
+            coeffs = _solve_quotient(coeffs, [(t * m, -1)], 1, n)
+        elif moebius(t) == -1:
+            coeffs = list((QSeries(coeffs, 0) * binomial(t * m)).coeffs)
+    return coeffs
+
+
+@given(st.integers(1, 24), st.integers(0, 200))
+@settings(max_examples=60, deadline=None)
+def test_family_matches_dense_construction(h, degree):
+    n = degree + 1
+    assert list(cyclotomic_poly_series(h, degree).coeffs) == dense_family_series(h, 1, degree)
+    if h == 1:
+        return
+    lhs = [1] + [0] * degree
+    for d in divisors(h):
+        lhs = qseries._schoolbook_mul(lhs, dense_family_series(d, h // d, degree), n)
+    assert _product([f for d in divisors(h) for f in _family_factors(d, h // d)], n) == lhs
+    assert cyclotomic_check(h, degree)
 
 
 def test_expand_h7_never_needs_dense_products(monkeypatch):

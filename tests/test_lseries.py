@@ -112,8 +112,6 @@ def test_multiplicative_on_coprime_pairs():
 
 def test_euler_truncate_matches_b_table():
     assert euler_truncate(2000).values == b_table(2000).values
-    with pytest.raises(ValueError):
-        euler_truncate(100, prime_bound=50)
 
 
 def test_b_table_never_runs_cornacchia(monkeypatch):

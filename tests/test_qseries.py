@@ -1,19 +1,24 @@
-"""Series substrate: exactness, windows, Euler product, inversion, the power
-recurrence and the sparse quotient solve.
+"""Series substrate: exactness, windows, Euler product, the power
+recurrence and the sparse quotient solve.  QSeries has no inverse: a
+negative power raises, and series divide by the quotient solve.
 
 Expected values are frozen from the brute-force oracles defined here
 (literal factor-by-factor products and a coin-style partition count), not
 from the code under test.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cycloeta
 from cycloeta.qseries import (
-    InvertibilityError,
     QSeries,
     _kronecker_mul,
     _schoolbook_mul,
@@ -65,21 +70,37 @@ def test_pentagonal_terms_prefix():
 
 def test_partition_series_from_negative_pow():
     n = 60
-    inv = euler_series(n) ** -1
-    assert list(inv.coeffs) == partition_counts(n - 1)
-    assert inv.order24 == 0
+    assert _sparse_power(pentagonal_terms(n - 1), -1, n) == partition_counts(n - 1)
 
 
 def test_inverse_times_original_is_one():
     s = QSeries([1, 3, -2, 7, 0, 5])
-    prod = (s ** -1) * s
+    tail = [(j, c) for j, c in enumerate(s.coeffs) if j and c]
+    inv = QSeries(_solve_quotient([1], tail, 1, s.trunc))
+    prod = inv * s
     assert list(prod.coeffs) == [1, 0, 0, 0, 0, 0]
     assert prod.order24 == 0
 
 
-def test_invertibility_error():
-    with pytest.raises(InvertibilityError):
-        QSeries([2, 1, 1]) ** -1
+def test_negative_pow_raises():
+    # a subprocess with a timeout: binary powering would never leave its
+    # loop on a negative exponent, so a lost guard hangs instead of failing
+    probe = (
+        "from cycloeta.qseries import QSeries\n"
+        "try:\n"
+        "    QSeries([1, 1]) ** -1\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
+    )
+    root = str(Path(cycloeta.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": root},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ValueError\n")
 
 
 def test_pow_zero_is_one():
@@ -232,10 +253,12 @@ sparse_tails = st.lists(
 @example(tail=[(1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)], e=7, n=30)
 @settings(max_examples=400, deadline=None)
 def test_sparse_power_matches_pow(tail, e, n):
-    # QSeries.__pow__ is the oracle: binary powering for e > 0, inversion
-    # by the quotient solve for e < 0
+    # QSeries.__pow__ is the oracle: binary powering of g for e > 0, and of
+    # 1/g from the quotient solve for e < 0
     g = QSeries(dense(1, tail, n))
-    assert _sparse_power(tail, e, n) == list((g ** e).coeffs)
+    if e < 0:
+        g = QSeries(_solve_quotient([1] + [0] * (n - 1), tail, 1, n))
+    assert _sparse_power(tail, e, n) == list((g ** abs(e)).coeffs)
 
 
 def test_sparse_power_edges():

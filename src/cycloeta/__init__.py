@@ -34,7 +34,6 @@ from .lseries import (
     c_table,
     c_table_from_expansion,
     euler_truncate,
-    identity_tables,
 )
 from .qseries import QSeries, euler_series
 from .quadfield import (
@@ -84,7 +83,6 @@ __all__ = [
     "expand",
     "factorize",
     "hecke_weight",
-    "identity_tables",
     "ideals_of_norm",
     "nondecomp_witness",
     "sieve_multiplicative",

@@ -155,23 +155,19 @@ class UniquenessReport:
         return self.c1_zero and self.witness is not None
 
 
-def uniqueness_hypotheses(table, search_bound=None):
+def uniqueness_hypotheses(values):
     """Check c(1) = 0 and greedily collect, in ascending order, five
     pairwise-coprime indices with nonzero coefficient.
 
-    `table` is a CoeffTable or a raw list [0, v(1), ..., v(n_max)].
-    Greedy ascending makes the witness deterministic.  An exhausted search
-    yields witness None: the hypotheses are then unverified at this range,
-    which is weaker than a failure.
+    `values` is a raw list [0, v(1), ..., v(n_max)].  Greedy ascending
+    makes the witness deterministic.  An exhausted search yields witness
+    None: the hypotheses are then unverified at this range, which is
+    weaker than a failure.
     """
-    values = table if isinstance(table, list) else table.values
     n_max = len(values) - 1
-    if search_bound is None:
-        search_bound = n_max
-    search_bound = min(search_bound, n_max)
     c1_zero = values[1] == 0
     chosen = []
-    for n in range(2, search_bound + 1):
+    for n in range(2, n_max + 1):
         if values[n] == 0:
             continue
         if all(math.gcd(n, m) == 1 for m in chosen):
@@ -183,7 +179,7 @@ def uniqueness_hypotheses(table, search_bound=None):
         witness = UniquenessWitness(
             tuple(chosen), tuple(values[n] for n in chosen)
         )
-    return UniquenessReport(c1_zero, witness, search_bound)
+    return UniquenessReport(c1_zero, witness, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def nondecomp_witness(p, table=None):
     hi = bound + p - 1  # last index that must be nonzero
     if table is None:
         series = etaprod.expand(etaprod.cyclotomic_spec(p), hi)
-        table = lseries.coeff_table_from_series(series, hi, "C")
+        table = lseries.coeff_table_from_series(series, hi)
     if table.n_max < hi:
         raise ValueError(f"table must cover n <= {hi}")
     zero_ok = all(table[n] == 0 for n in range(1, bound))

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+from itertools import islice
 from operator import itemgetter
 
 from . import analysis, etaprod, lseries, reference
@@ -168,8 +169,8 @@ def _cmd_expand(args):
 
 def _cmd_coeffs(args):
     n_max = _resolve_n_max(args)
-    av, bv, cv = (t.values for t in lseries.identity_tables(n_max))
-    rows = [[n, av[n], bv[n], cv[n]] for n in range(1, n_max + 1)]
+    c, av, bv = lseries.c_table(n_max, at=range(1, n_max + 1))
+    rows = list(map(list, zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None))))
     return {"command": "coeffs", "n_max": n_max, "rows": rows}, 0
 
 

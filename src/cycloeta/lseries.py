@@ -125,19 +125,12 @@ def a_oracle_table(n_max):
 # b(n): once-shifted Hecke series
 
 _trace = lru_cache(maxsize=None)(split_trace)
-# The split traces of the table b_table is sieving, read ahead of the
-# per-prime _trace cache; empty outside b_table.  They reach b_prime_power
-# here because the sieve calls the rule as (p, k).  Every entry is the
-# true trace, so a dict left by another caller can only cost time.
-_table_traces = {}
 
 
-def _split_power_sum(p, k):
-    """s_k = sum_t pi^(2t) conj(pi)^(2(k-t)) via the integer recurrence
-    s_k = T s_(k-1) - p^2 s_(k-2), T = pi^2 + conj(pi)^2."""
-    t = _table_traces.get(p)
-    if t is None:
-        t = _trace(p)
+def _split_power_sum(t, p, k):
+    """s_k = sum_j pi^(2j) conj(pi)^(2(k-j)) via the integer recurrence
+    s_k = t s_(k-1) - p^2 s_(k-2), where t = pi^2 + conj(pi)^2 is the
+    split trace of p."""
     s_prev, s = 1, t
     if k == 0:
         return 1
@@ -146,11 +139,14 @@ def _split_power_sum(p, k):
     return s
 
 
-def b_prime_power(p, k):
+def b_prime_power(p, k, traces=None):
+    """b(p^k); a split p takes its trace from `traces` ({p: trace}) when
+    given, else from the _trace cache."""
     if p == 7:
         return (-7) ** k
     if epsilon(p) == 1:
-        return _split_power_sum(p, k)
+        t = _trace(p) if traces is None else traces[p]
+        return _split_power_sum(t, p, k)
     return p ** k if k % 2 == 0 else 0
 
 
@@ -167,12 +163,8 @@ def b_table(n_max):
     """Sieved b table.  Its split traces come from one enumeration of
     x^2 + 7y^2 (quadfield.split_traces); each b(p^k) is still evaluated by
     b_prime_power."""
-    global _table_traces
-    _table_traces = split_traces(n_max)
-    try:
-        values = sieve_multiplicative(b_prime_power, n_max)
-    finally:
-        _table_traces = {}
+    traces = split_traces(n_max)
+    values = sieve_multiplicative(lambda p, k: b_prime_power(p, k, traces), n_max)
     return CoeffTable("B", n_max, values)
 
 
@@ -259,51 +251,34 @@ def c_table(n_max, at=None):
         for n in at:
             a_at.append(av[n])
             b_at.append(bv[n])
-    _eighths(av, bv, av)
+    _eighths(av, bv)
     c = CoeffTable("C", n_max, av)
     return c if at is None else (c, a_at, b_at)
 
 
-def identity_tables(n_max):
-    """(a_table, b_table, c_table) on 1..n_max, each of a and b computed
-    once."""
-    b = b_table(n_max)
-    a = a_table(n_max)
-    c = _eighths(a.values, b.values, [0] * (n_max + 1))
-    return a, b, CoeffTable("C", n_max, c)
-
-
-def _eighths(av, bv, out):
-    """out[n] = (av[n] - bv[n]) / 8, raising IdentityViolation where 8 does
-    not divide.  out may be av: each a(n) is read before it is replaced."""
+def _eighths(av, bv):
+    """av[n] = (av[n] - bv[n]) / 8 in place, raising IdentityViolation
+    where 8 does not divide; each a(n) is read before it is replaced."""
     for n, (a, b) in enumerate(zip(av, bv)):
         d = a - b
         if d % 8:
             raise IdentityViolation(n, a, b)
-        out[n] = d // 8
-    return out
+        av[n] = d // 8
 
 
-def coeff_table_from_series(series, n_max, kind="C"):
-    """Read a q-expansion into a 1..n_max coefficient table.
-
-    The series must sit on integer exponents (24 | order24) with leading
-    degree >= 1, and its window must reach n_max.
-    """
-    if series.order24 % 24:
-        raise ValueError("series has fractional exponents; rescale the spec first")
-    lead = series.order24 // 24
-    if lead < 1:
-        raise ValueError("table needs a series with positive leading degree")
-    if lead + series.trunc - 1 < n_max:
+def coeff_table_from_series(series, n_max):
+    """Read an integer-exponent q-expansion into a kind C 1..n_max table;
+    its window must reach n_max."""
+    values = expansion_values(series, n_max)
+    if series.order24 // 24 + series.trunc - 1 < n_max:
         raise ValueError("series window too short for requested table")
-    return CoeffTable(kind, n_max, expansion_values(series, n_max))
+    return CoeffTable("C", n_max, values)
 
 
 def c_table_from_expansion(n_max):
     """The independent pipeline: expand the eta quotient itself."""
     series = etaprod.expand(etaprod.cyclotomic_spec(7), n_max)
-    return coeff_table_from_series(series, n_max, "C")
+    return coeff_table_from_series(series, n_max)
 
 
 def expansion_values(series, n_max):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .arith import epsilon, is_prime, prime_flags, sieve_multiplicative
+from .arith import epsilon, is_prime, prime_flags
 
 
 class SplittingError(ArithmeticError):
@@ -181,21 +181,6 @@ def ideals_of_norm(n):
             out.append(QuadInt(u, v))
     out.sort(key=lambda a: (a.v, a.u))
     return out
-
-
-def ideal_count_table(n_max):
-    """Number of ideals of each norm <= n_max, by the Euler product of the
-    Dedekind zeta function: split p contributes k+1 at p^k, inert q
-    contributes 1 at even powers only, the ramified 7 contributes 1."""
-
-    def rule(p, k):
-        if p == 7:
-            return 1
-        if epsilon(p) == 1:
-            return k + 1
-        return 1 if k % 2 == 0 else 0
-
-    return sieve_multiplicative(rule, n_max)
 
 
 @dataclass(frozen=True)

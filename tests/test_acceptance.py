@@ -88,8 +88,8 @@ def test_criterion_4_positivity(identity_pipeline):
 
 def test_criterion_5_uniqueness_witness(identity_pipeline):
     table, _ = identity_pipeline
-    first = analysis.uniqueness_hypotheses(table)
-    second = analysis.uniqueness_hypotheses(table)
+    first = analysis.uniqueness_hypotheses(table.values)
+    second = analysis.uniqueness_hypotheses(table.values)
     assert first.verified
     assert first.witness.indices == (2, 3, 5, 7, 11)
     assert first.witness.coeffs == (1, 1, 3, 7, 16)

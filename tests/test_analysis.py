@@ -79,7 +79,7 @@ def test_uniqueness_witness_validation():
 
 
 def test_uniqueness_hypotheses_canonical_witness():
-    report = uniqueness_hypotheses(c_table(300))
+    report = uniqueness_hypotheses(c_table(300).values)
     assert report.verified
     assert report.c1_zero
     assert report.witness.indices == (2, 3, 5, 7, 11)
@@ -88,7 +88,7 @@ def test_uniqueness_hypotheses_canonical_witness():
 
 
 def test_uniqueness_hypotheses_exhausted_search():
-    report = uniqueness_hypotheses(c_table(300), search_bound=10)
+    report = uniqueness_hypotheses(c_table(300).values[:11])
     assert report.witness is None
     assert report.c1_zero
     assert not report.verified
@@ -125,14 +125,14 @@ def test_nondecomp_witness_rejects_bad_p():
 
 def test_nondecomp_witness_table_too_short():
     series = expand(cyclotomic_spec(11), 10)
-    short = coeff_table_from_series(series, 10, "C")
+    short = coeff_table_from_series(series, 10)
     with pytest.raises(ValueError):
         nondecomp_witness(11, short)
 
 
 def test_nondecomp_witness_supplied_table():
     series = expand(cyclotomic_spec(11), 40)
-    table = coeff_table_from_series(series, 40, "C")
+    table = coeff_table_from_series(series, 40)
     assert nondecomp_witness(11, table).valid
 
 

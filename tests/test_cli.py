@@ -129,7 +129,7 @@ def test_uniqueness_json_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     rebuilt = cli.uniqueness_from_payload(payload)
-    assert rebuilt == analysis.uniqueness_hypotheses(lseries.c_table(300))
+    assert rebuilt == analysis.uniqueness_hypotheses(lseries.c_table(300).values)
     assert payload["witness_indices"] == [2, 3, 5, 7, 11]
     assert payload["witness_coeffs"] == [1, 1, 3, 7, 16]
 
@@ -204,10 +204,10 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
 
 
 def test_arithmetic_failure_exits_one(capsys, monkeypatch):
-    def boom(n_max):
+    def boom(n_max, at=None):
         raise lseries.IdentityViolation(3, 10, 1)
 
-    monkeypatch.setattr(cli.lseries, "identity_tables", boom)
+    monkeypatch.setattr(cli.lseries, "c_table", boom)
     code, out, err = capture(capsys, ["coeffs", "--n-max", "10"])
     assert code == 1
     assert "mathematical check failed" in err
@@ -336,10 +336,10 @@ def test_nondecomp_failure_renderings(capsys, monkeypatch, fmt):
 
 def test_programming_errors_are_not_check_failures(capsys, monkeypatch):
     # only the package's own check failures exit 1; a ZeroDivisionError is a bug
-    def bug(n_max):
+    def bug(n_max, at=None):
         raise ZeroDivisionError("integer division or modulo by zero")
 
-    monkeypatch.setattr(lseries, "identity_tables", bug)
+    monkeypatch.setattr(lseries, "c_table", bug)
     with pytest.raises(ZeroDivisionError):
         run(["coeffs", "--n-max", "10"])
     assert capsys.readouterr().err == ""
@@ -508,6 +508,30 @@ def test_perfbench_spans_wrap_a_several_factor_expand():
         "names = ('etaprod.expand', 'qseries.dispatch', 'qseries.schoolbook', 'qseries.solve')\n"
         "assert all(tracer.calls[name] for name in names), tracer.calls\n"
         "sys.exit(code)\n"
+    )
+    proc = _run([sys.executable, "-c", script], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_spans_wrap_the_identity_side():
+    # the tables workload traces the identity side through the same
+    # rebinding; coeffs and positivity must reach every wrapped layer, and
+    # no table build may fall back to the per-prime split_trace cache
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "from cycloeta import cli\n"
+        "codes = [cli.run([cmd, '--n-max', '300']) for cmd in ('coeffs', 'positivity')]\n"
+        "assert codes == [0, 0], codes\n"
+        "names = ('lseries.a_table', 'lseries.b_table', 'lseries.c_table',\n"
+        "         'arith.sieve', 'analysis.positivity')\n"
+        "assert all(tracer.calls[name] for name in names), tracer.calls\n"
+        "assert tracer.counts['lseries.prime_power_evals'] > 0, tracer.counts\n"
+        "assert tracer.calls['quadfield.split_trace'] == 0, tracer.calls\n"
     )
     proc = _run([sys.executable, "-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr

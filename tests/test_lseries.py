@@ -26,7 +26,6 @@ from cycloeta.lseries import (
     coeff_table_from_series,
     euler_truncate,
     expansion_values,
-    identity_tables,
 )
 from cycloeta.qseries import QSeries
 from cycloeta.quadfield import hecke_weight, pi_element
@@ -127,7 +126,6 @@ def test_b_table_never_runs_cornacchia(monkeypatch):
     monkeypatch.setattr(quadfield, "split_rep", refuse)
     lseries._trace.cache_clear()
     assert b_table(20_000) == before
-    assert lseries._table_traces == {}
 
 
 def test_c_table_reads_a_and_b_at_indices_before_the_overwrite():
@@ -166,21 +164,23 @@ def test_identity_violation_from_perturbed_b(monkeypatch, p, k, n_max):
     true_b = b_coeff(p**k)
     honest = lseries.b_prime_power
 
-    def perturbed(q, j):
-        return honest(q, j) + (1 if (q, j) == (p, k) else 0)
+    def perturbed(q, j, traces=None):
+        return honest(q, j, traces) + (1 if (q, j) == (p, k) else 0)
 
     monkeypatch.setattr(lseries, "b_prime_power", perturbed)
-    for build in (c_table, identity_tables):
+    for at in (None, range(1, n_max + 1)):
         with pytest.raises(IdentityViolation) as info:
-            build(n_max)
+            c_table(n_max, at=at)
         err = info.value
         assert (err.n, err.a, err.b) == (p**k, a_coeff(p**k), true_b + 1)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 300, 40_000])
-def test_identity_tables_match_separate_tables(n_max):
-    a, b, c = identity_tables(n_max)
-    assert (a, b, c) == (a_table(n_max), b_table(n_max), c_table(n_max))
+def test_c_table_at_every_index_matches_separate_tables(n_max):
+    c, a_at, b_at = c_table(n_max, at=range(1, n_max + 1))
+    assert c == c_table(n_max)
+    assert [0] + a_at == a_table(n_max).values
+    assert [0] + b_at == b_table(n_max).values
 
 
 def test_coeff_table_validation():
@@ -215,6 +215,6 @@ def test_expansion_values_lead_degree_one():
     series = expand(cyclotomic_spec(5), 10)
     assert expansion_values(series, 10) == [0, 1, 1, 2, 3, 5, 2, 6, 5, 7, 5]
     with pytest.raises(ValueError):
-        coeff_table_from_series(series, 10, "C")
+        coeff_table_from_series(series, 10)
     with pytest.raises(ValueError):
         expansion_values(expand(cyclotomic_spec(4), 6), 5)

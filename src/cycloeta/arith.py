@@ -84,28 +84,22 @@ def is_prime(n):
 def factorize(n):
     """Prime factorization of n >= 1 as a list of (p, k) pairs, p ascending.
 
-    Deterministic trial division; adequate for the sizes this package targets.
+    Trial division by 2, 3, 4, ...: a composite never divides what is left,
+    as its prime factors are already gone.  No command factors anything
+    bigger than a level h.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out = []
-    for p in (2, 3):
+    p = 2
+    while p * p <= n:
         if n % p == 0:
             k = 0
             while n % p == 0:
                 n //= p
                 k += 1
             out.append((p, k))
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            if n % p == 0:
-                k = 0
-                while n % p == 0:
-                    n //= p
-                    k += 1
-                out.append((p, k))
-        d += 6
+        p += 1
     if n > 1:
         out.append((n, 1))
     return out

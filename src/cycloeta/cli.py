@@ -5,8 +5,10 @@ Formats: text (default), json, csv.  Output for a fixed command line is
 byte-identical across runs; reports carry no timestamps.
 
 Exit codes: 0 success / check verified, 1 a mathematical check failed,
-2 usage error.  CYCLOETA_N_MAX sets the default truncation when --n-max
-is not given.
+2 usage error.  uniqueness exits 1 both when c(1) != 0 and when the search
+ends without a witness ("hypotheses unverified"); the payload's c1_zero
+and witness_indices tell the two apart.  CYCLOETA_N_MAX sets the default
+truncation when --n-max is not given.
 """
 
 import argparse

@@ -10,6 +10,7 @@ a, ideal enumeration for b) and b additionally has a truncated Euler-product
 route.  All arithmetic is in exact ints.
 """
 
+import math
 from functools import lru_cache
 
 from . import etaprod
@@ -78,26 +79,18 @@ class CoeffTable:
 # a(n): character series times twice-shifted zeta
 
 def a_prime_power(p, k):
-    if p == 7:
-        return 7 ** (2 * k)
+    """a(p^k) = (p^(2k+2) - e^(k+1)) / (p^2 - e) with e = epsilon(p): the
+    geometric series of the local factor 1/((1 - e X)(1 - p^2 X)) at every
+    p, so e = 0 gives 7^(2k)."""
     e = epsilon(p)
-    if e == 1:
-        num = p ** (2 * (k + 1)) - 1
-        den = p * p - 1
-    else:
-        num = p ** (2 * (k + 1)) - (-1) ** (k + 1)
-        den = p * p + 1
-    q, r = divmod(num, den)
+    q, r = divmod(p ** (2 * (k + 1)) - e ** (k + 1), p * p - e)
     if r:
         raise InconsistencyError(f"a({p}^{k}) closed form is not integral")
     return q
 
 
 def a_coeff(n):
-    out = 1
-    for p, k in factorize(n):
-        out *= a_prime_power(p, k)
-    return out
+    return math.prod(a_prime_power(p, k) for p, k in factorize(n))
 
 
 def a_table(n_max):
@@ -129,12 +122,10 @@ _trace = lru_cache(maxsize=None)(split_trace)
 
 def _split_power_sum(t, p, k):
     """s_k = sum_j pi^(2j) conj(pi)^(2(k-j)) via the integer recurrence
-    s_k = t s_(k-1) - p^2 s_(k-2), where t = pi^2 + conj(pi)^2 is the
-    split trace of p."""
-    s_prev, s = 1, t
-    if k == 0:
-        return 1
-    for _ in range(k - 1):
+    s_k = t s_(k-1) - p^2 s_(k-2) from s_(-1) = 0, s_0 = 1, where
+    t = pi^2 + conj(pi)^2 is the split trace of p."""
+    s_prev, s = 0, 1
+    for _ in range(k):
         s_prev, s = s, t * s - p * p * s_prev
     return s
 
@@ -151,12 +142,7 @@ def b_prime_power(p, k, traces=None):
 
 
 def b_coeff(n):
-    out = 1
-    for p, k in factorize(n):
-        out *= b_prime_power(p, k)
-        if out == 0:
-            return 0
-    return out
+    return math.prod(b_prime_power(p, k) for p, k in factorize(n))
 
 
 def b_table(n_max):
@@ -196,8 +182,6 @@ def euler_truncate(n_max):
     table[1] = 1
     for p in primes_up_to(n_max):
         for pj, uj in _local_expansion(p, n_max):
-            if uj == 0:
-                continue
             for m in range(1, n_max // pj + 1):
                 if m % p and table[m]:
                     table[m * pj] += table[m] * uj
@@ -206,29 +190,22 @@ def euler_truncate(n_max):
 
 def _local_expansion(p, n_max):
     """(p^j, u_j) for j >= 1 while p^j <= n_max, where sum u_j X^j is the
-    reciprocal of the local Euler factor at p."""
-    out = []
+    reciprocal of the local Euler factor 1 + c1 X + c2 X^2 at p:
+    u_j = -c1 u_(j-1) - c2 u_(j-2) from u_(-1) = 0, u_0 = 1."""
     if p == 7:
-        pj, uj = 7, -7
-        while pj <= n_max:
-            out.append((pj, uj))
-            pj *= 7
-            uj *= -7
+        c1, c2 = 7, 0
     elif epsilon(p) == 1:
         fac = split_euler_factor(p)
-        u_prev, u = 1, -fac.c1
-        pj = p
-        while pj <= n_max:
-            out.append((pj, u))
-            u_prev, u = u, -fac.c1 * u - fac.c2 * u_prev
-            pj *= p
+        c1, c2 = fac.c1, fac.c2
     else:
-        pj = p * p
-        uj = p * p
-        while pj <= n_max:
-            out.append((pj, uj))
-            pj *= p * p
-            uj *= p * p
+        c1, c2 = 0, -p * p
+    out = []
+    u_prev, u = 0, 1
+    pj = p
+    while pj <= n_max:
+        u_prev, u = u, -c1 * u - c2 * u_prev
+        out.append((pj, u))
+        pj *= p
     return out
 
 

@@ -252,23 +252,15 @@ class QSeries:
     def agrees_with(self, other):
         """True when the two series match on the overlap of their windows.
 
-        Misaligned exponent grids (order24 differing off the 24-grid) only
-        agree if both series vanish on the overlap.
+        A coefficient off the other series' exponent grid is compared with
+        0, so misaligned grids agree only where both vanish on the overlap.
         """
         lo = max(self.order24, other.order24)
         hi = min(self.order24 + 24 * self.trunc, other.order24 + 24 * other.trunc)
-        if lo >= hi:
-            return True
-        if (self.order24 - other.order24) % 24 != 0:
-            za = all(c == 0 for c in self._window(lo, hi))
-            zb = all(c == 0 for c in other._window(lo, hi))
-            return za and zb
-        return list(self._window(lo, hi)) == list(other._window(lo, hi))
-
-    def _window(self, lo24, hi24):
-        for n24 in range(lo24, hi24, 24):
-            c = self.coeff24(n24)
-            yield 0 if c is None else c
+        return all(
+            (self.coeff24(n24) or 0) == (other.coeff24(n24) or 0)
+            for n24 in range(lo, hi)
+        )
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -282,29 +274,19 @@ class QSeries:
             return NotImplemented
         if e < 0:
             raise ValueError("QSeries has no inverse; divide by a quotient solve")
-        if e == 0:
-            return QSeries([1] + [0] * (self.trunc - 1), 0)
         n = self.trunc
         base = list(self.coeffs)
-        result = None
-        k = e
-        while k:
-            if k & 1:
-                result = list(base) if result is None else _mul_lists(result, base, n)
-            k >>= 1
-            if k:
-                base = _mul_lists(base, base, n)
+        result = [1] + [0] * (n - 1)
+        for _ in range(e):
+            result = _mul_lists(result, base, n)
         return QSeries(result, self.order24 * e)
 
     def rescaled(self, m):
         """Substitute q -> q**m (m >= 1): exponents stretch by m."""
         if m < 1:
             raise ValueError("rescale factor must be >= 1")
-        if m == 1:
-            return self
         out = [0] * ((self.trunc - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
+        out[::m] = self.coeffs
         return QSeries(out, self.order24 * m)
 
 

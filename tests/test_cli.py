@@ -158,18 +158,24 @@ def test_nondecomp_valid_and_invalid_p(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    for argv in (
-        ["expand", "--h", "7", "--spec", "1:1"],
-        ["expand", "--h", "1"],
-        ["expand", "--spec", "garbage"],
-        ["expand", "--n-max", "0"],
-        ["expand", "--corpus", "nope"],
-        ["scan", "--h-max", "1"],
-        ["expand", "--h", "7", "--n-max", "1"],  # window below leading degree
+    # older argparse lists invalid-choice alternatives by repr, newer by str
+    quoted = ", ".join(repr(name) for name in sorted(etaprod.CORPUS))
+    bare = ", ".join(sorted(etaprod.CORPUS))
+    corpus = "cycloeta expand: error: argument --corpus: invalid choice: 'nope' (choose from {})"
+    for argv, last in (
+        (["expand", "--h", "7", "--spec", "1:1"], {"cycloeta: error: give at most one of --h, --spec, --corpus"}),
+        (["expand", "--h", "1"], {"cycloeta: error: --h must be >= 2"}),
+        (["expand", "--spec", "garbage"], {"cycloeta: error: bad spec term 'garbage'; expected scale:exponent"}),
+        (["expand", "--n-max", "0"], {"cycloeta: error: n-max must be >= 1"}),
+        (["expand", "--corpus", "nope"], {corpus.format(quoted), corpus.format(bare)}),
+        (["scan", "--h-max", "1"], {"cycloeta: error: --h-max must be >= 2"}),
+        # window below leading degree
+        (["expand", "--h", "7", "--n-max", "1"], {"cycloeta: error: n_max=1 is below the leading exponent 48/24"}),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.splitlines()[-1] in last, argv
 
 
 def test_env_var_sets_default_n_max(capsys, monkeypatch):
@@ -210,7 +216,7 @@ def test_arithmetic_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli.lseries, "c_table", boom)
     code, out, err = capture(capsys, ["coeffs", "--n-max", "10"])
     assert code == 1
-    assert "mathematical check failed" in err
+    assert err == "mathematical check failed: a(3) - b(3) = 9 is not divisible by 8\n"
 
 
 def test_missed_split_prime_exits_one(capsys, monkeypatch):
@@ -222,7 +228,7 @@ def test_missed_split_prime_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(quadfield, "_prime_reps", hiding)
     code, out, err = capture(capsys, ["coeffs", "--n-max", "20000"])
     assert (code, out) == (1, "")
-    assert "mathematical check failed" in err and "16417" in err
+    assert err == "mathematical check failed: split primes [16417] not found as x^2 + 7y^2\n"
 
 
 GOLDEN_DIGESTS = json.loads(

@@ -20,6 +20,7 @@ from cycloeta.lseries import (
     a_table,
     b_coeff,
     b_oracle,
+    b_prime_power,
     b_table,
     c_table,
     c_table_from_expansion,
@@ -111,6 +112,19 @@ def test_multiplicative_on_coprime_pairs():
 
 def test_euler_truncate_matches_b_table():
     assert euler_truncate(2000).values == b_table(2000).values
+
+
+def test_local_factors_beyond_any_table():
+    # primes < 1000 and k <= 20, the range of extended_case_failures: a's
+    # geometric series against the divisor sum, and each b(p^j) against the
+    # reciprocal of the local Euler factor (where b(p^j) is 0 the expansion
+    # may leave p^j out)
+    for p in primes_up_to(999):
+        for k in range(21):
+            assert a_prime_power(p, k) == a_oracle(p**k), (p, k)
+        local = dict(lseries._local_expansion(p, p**20))
+        for j in range(1, 21):
+            assert local.get(p**j, 0) == b_prime_power(p, j), (p, j)
 
 
 def test_b_table_never_runs_cornacchia(monkeypatch):

@@ -83,8 +83,8 @@ def test_inverse_times_original_is_one():
 
 
 def test_negative_pow_raises():
-    # a subprocess with a timeout: binary powering would never leave its
-    # loop on a negative exponent, so a lost guard hangs instead of failing
+    # a subprocess with a timeout, so a lost guard fails instead of hanging
+    # whatever loop the power runs
     probe = (
         "from cycloeta.qseries import QSeries\n"
         "try:\n"
@@ -142,6 +142,16 @@ def test_agrees_with_overlap_only():
     assert not a.agrees_with(c)
     # disjoint windows agree vacuously
     assert a.agrees_with(QSeries([9, 9], order24=24 * 10))
+
+
+def test_agrees_with_misaligned_grids():
+    # off each other's exponent grid the two series agree only where both
+    # vanish on the overlap, whichever of them starts first
+    a = QSeries([1, 5])
+    z = QSeries([0, 0], order24=12)
+    assert not a.agrees_with(z) and not z.agrees_with(a)
+    assert QSeries([1, 0]).agrees_with(z) and z.agrees_with(QSeries([1, 0]))
+    assert not QSeries([1, 0]).agrees_with(QSeries([0, 3], order24=12))
 
 
 def test_rescaled_spreads_exponents():
@@ -253,8 +263,8 @@ sparse_tails = st.lists(
 @example(tail=[(1, -1), (2, -1), (5, 1), (7, 1), (12, -1), (15, -1)], e=7, n=30)
 @settings(max_examples=400, deadline=None)
 def test_sparse_power_matches_pow(tail, e, n):
-    # QSeries.__pow__ is the oracle: binary powering of g for e > 0, and of
-    # 1/g from the quotient solve for e < 0
+    # QSeries.__pow__ is the oracle: a repeated product of g for e > 0, and
+    # of 1/g from the quotient solve for e < 0
     g = QSeries(dense(1, tail, n))
     if e < 0:
         g = QSeries(_solve_quotient([1] + [0] * (n - 1), tail, 1, n))

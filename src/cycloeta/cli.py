@@ -58,6 +58,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp, with_n_max=True):
+        # a handler's usage error is reported by its own command's parser
+        sp.set_defaults(command_parser=sp)
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--output", metavar="PATH", default=None)
         if with_n_max:
@@ -176,13 +178,28 @@ def _cmd_coeffs(args):
     return {"command": "coeffs", "n_max": n_max, "rows": rows}, 0
 
 
+def _words(values):
+    """values as an array of 64-bit ints (8 bytes a value against about 40
+    in a list of ints), or the list itself when a value does not fit."""
+    from array import array
+
+    try:
+        return array("q", values)
+    except OverflowError:
+        return values
+
+
 def _cmd_verify(args):
     n_max = _resolve_n_max(args)
-    identity = lseries.c_table(n_max)
-    expansion = lseries.c_table_from_expansion(n_max)
-    first_mismatch = next(
-        (n for n in range(1, n_max + 1) if identity[n] != expansion[n]), None
-    )
+    # the identity table waits in words while the expansion runs; two
+    # arrays (or two lists) compare in one C-level pass
+    identity = _words(lseries.c_table(n_max).values)
+    expansion = _words(lseries.c_table_from_expansion(n_max).values)
+    first_mismatch = None
+    if identity != expansion:
+        first_mismatch = next(
+            (n for n in range(1, n_max + 1) if identity[n] != expansion[n]), None
+        )
     payload = {
         "command": "verify",
         "n_max": n_max,
@@ -419,7 +436,7 @@ def run(argv=None):
     try:
         payload, code = globals()["_cmd_" + args.command](args)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.command_parser.error(str(exc))
     except _CHECK_FAILURES as exc:
         print(f"mathematical check failed: {exc}", file=sys.stderr)
         return 1

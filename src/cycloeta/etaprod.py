@@ -13,7 +13,16 @@ from fractions import Fraction
 
 from . import qseries
 from .arith import divisors, moebius, totient
-from .qseries import QSeries, _solve_quotient, _sparse_power, pentagonal_terms
+from .qseries import (
+    QSeries,
+    _dense,
+    _solve_quotient,
+    _sparse_mul,
+    _sparse_power,
+    _sparse_square,
+    jacobi_terms,
+    pentagonal_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -87,20 +96,42 @@ def cyclotomic_spec(h):
     return EtaQuotientSpec(tuple((s, e) for s, e in exps.items() if e))
 
 
+# Below this length Miller's recurrence is as fast as the sparse routes of
+# _eta_power (measured at e = 2, 4 and 7).
+_JACOBI_MIN_LEN = 32
+
+
+def _eta_power(e, m):
+    """First m coefficients of E(q)**e, e >= 1, where E(q) = prod (1 - q^n).
+
+    E and E^3 are sparse outright (Euler's pentagonal tail, Jacobi's
+    cube), E^2 and E^6 are their sparse squares, and E^4 and E^7 take one
+    fixed-offset multiplication of E^3 and E^6 by E.  Every other exponent,
+    and every length below _JACOBI_MIN_LEN, goes to Miller's recurrence.
+    """
+    pent = pentagonal_terms(m - 1)
+    if m < _JACOBI_MIN_LEN or e not in (1, 2, 3, 4, 6, 7):
+        return _sparse_power(pent, e, m)
+    tail = pent if e < 3 else jacobi_terms(m - 1)
+    base = _dense(tail, m) if e in (1, 3, 4) else _sparse_square(tail, m)
+    return _sparse_mul(base, pent, m) if e in (4, 7) else base
+
+
 def _product(factors, n):
     """First n coefficients of prod (1 + t(q^s))^e over the (s, t, e) in
     `factors`, where each tail t is ascending (offset, coefficient) pairs
-    with positive offsets: Euler's pentagonal tail for an eta factor, the
-    binomial [(1, -1)] for the cyclotomic family.
+    with positive offsets (the binomial [(1, -1)] for the cyclotomic
+    family), or None for Euler's product E itself, 1 + its pentagonal tail.
 
-    Positive factors come first, in list order: each is raised by Miller's
-    power recurrence at its own length ceil(n/s) and stretched by s, so the
-    structural zeros of q -> q^s are never multiplied, and every one after
-    the first is multiplied into the running product as a dense series.
-    Negative factors then divide, -e times each, against their stretched
-    tails, so quotient coefficients are produced directly (no inverse
-    series, whose coefficients grow like partition numbers, is ever
-    materialized).  Scales may repeat; an exponent 0 contributes nothing.
+    Positive factors come first, in list order: each is raised at its own
+    length ceil(n/s) (E by _eta_power, any other tail by Miller's power
+    recurrence) and stretched by s, so the structural zeros of q -> q^s are
+    never multiplied, and every one after the first is multiplied into the
+    running product as a dense series.  Negative factors then divide, -e
+    times each, against their stretched tails, so quotient coefficients
+    are produced directly (no inverse series, whose coefficients grow like
+    partition numbers, is ever materialized).  Scales may repeat; an
+    exponent 0 contributes nothing.
     """
     # qseries._mul_lists and this module's _solve_quotient are looked up at
     # call time, so wrappers bound over them after import (perfbench/spans.py)
@@ -108,13 +139,16 @@ def _product(factors, n):
     acc = None
     for s, tail, e in factors:
         if e > 0:
+            m = (n - 1) // s + 1
             power = [0] * n
-            power[::s] = _sparse_power(tail, e, (n - 1) // s + 1)
+            power[::s] = _eta_power(e, m) if tail is None else _sparse_power(tail, e, m)
             acc = power if acc is None else qseries._mul_lists(power, acc, n)
     if acc is None:
         acc = [1] + [0] * (n - 1)
     for s, tail, e in factors:
         if e < 0:
+            if tail is None:
+                tail = pentagonal_terms((n - 1) // s)
             den = [(g * s, c) for g, c in tail]
             for _ in range(-e):
                 acc = _solve_quotient(acc, den, 1, n)
@@ -126,7 +160,7 @@ def expand(spec, n_max):
 
     Returns a QSeries with order24 = spec.order24(); the window covers every
     exponent (order24 + 24k)/24 <= n_max.  The factors E(q^s)^e go to
-    `_product` in ascending scale, each with the pentagonal tail it needs.
+    `_product` in ascending scale.
     """
     o24 = spec.order24()
     n_coeff = (24 * n_max - o24) // 24 + 1
@@ -134,10 +168,7 @@ def expand(spec, n_max):
         raise ValueError(
             f"n_max={n_max} is below the leading exponent {o24}/24"
         )
-    factors = [
-        (s, pentagonal_terms((n_coeff - 1) // s), e) for s, e in spec.terms
-    ]
-    return QSeries(_product(factors, n_coeff), o24)
+    return QSeries(_product([(s, None, e) for s, e in spec.terms], n_coeff), o24)
 
 
 _BINOMIAL = [(1, -1)]

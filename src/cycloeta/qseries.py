@@ -2,14 +2,17 @@
 
 A QSeries is q**(order24/24) * (c[0] + c[1]*q + ... + c[t-1]*q**(t-1)) with
 the leading exponent tracked in units of 1/24, the natural grain for eta
-factors.  Coefficients are Python ints, so arithmetic is exact at any size;
-there is no overflow path.
+factors.  Coefficients are Python ints, so arithmetic is exact at any size.
+The one fixed-width path, the packed quotient solve, checks its bound on
+the values it has produced and otherwise finishes in Python ints.
 
 Truncation policy: every operation returns the largest window both operands
 justify (min of the operand windows for products) and never grows a window
 silently.  Series are immutable once built.
 """
 
+import struct
+import sys
 from operator import itemgetter, mul
 
 
@@ -34,6 +37,20 @@ def pentagonal_terms(limit):
             terms.append((g, sign))
         k += 1
     terms.sort()
+    return terms
+
+
+def jacobi_terms(limit):
+    """(exponent, coefficient) pairs of Jacobi's cube up to `limit`, ascending.
+
+    Jacobi: prod (1-q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2).
+    The constant term 1 is not included.
+    """
+    terms = []
+    k = 1
+    while k * (k + 1) // 2 <= limit:
+        terms.append((k * (k + 1) // 2, -(2 * k + 1) if k % 2 else 2 * k + 1))
+        k += 1
     return terms
 
 
@@ -134,31 +151,138 @@ def _solve_quotient(num, den_terms, den_lead, n):
 
     den_terms is the tail as ascending (offset, coefficient) pairs with
     positive offsets and integer coefficients; den_lead must be +1 or -1 so
-    the recurrence stays in ints.
+    the recurrence stays in ints.  num is only read, never copied unless it
+    is shorter than n.  From _PACKED_MIN_LEN coefficients on, the solve
+    runs blocked (_solve_packed); below, and as its fallback and oracle, it
+    runs the plain loop (_solve_plain).
+    """
+    if den_lead == -1:  # num / (-1 + t) = (-num) / (1 - t)
+        num = [-c for c in num]
+        den_terms = [(g, -cg) for g, cg in den_terms]
+    if len(num) < n:
+        num = num + [0] * (n - len(num))
+    if n >= _PACKED_MIN_LEN:
+        return _solve_packed(num, den_terms, n)
+    return _solve_plain([], num, den_terms, n)
+
+
+def _solve_plain(out, num, den_terms, n):
+    """Extend `out`, the first len(out) coefficients of num / (1 + tail),
+    to the first n, one coefficient at a time in exact Python ints.
 
     `out` grows by append, so out[k - g] is always out[-g]: a fixed offset.
     Between two consecutive tail offsets the active terms do not change, so
     they are grouped by coefficient and each group is summed through one
     prebuilt getter.
     """
-    out = []
     append = out.append
-    if den_lead == -1:  # num / (-1 + t) = (-num) / (1 - t)
-        num = [-c for c in num]
-        den_terms = [(g, -cg) for g, cg in den_terms]
-    num = num[:n]
-    num += [0] * (n - len(num))
+    start = len(out)
     for lo, hi, active in _active_segments(den_terms, n):
+        if hi <= start:
+            continue
         groups = {}
         for g, cg in active:
             if cg:
                 groups.setdefault(cg, []).append(g)
         getters = [(cg, _offset_getter(gs)) for cg, gs in groups.items()]
-        for k in range(lo, hi):
+        for k in range(max(lo, start), hi):
             acc = num[k]
             for cg, get in getters:
                 acc -= cg * sum(get(out))
             append(acc)
+    return out
+
+
+# The packed solve: blocks of _BLOCK coefficients, each packed into one int
+# of _BLOCK 64-bit fields.  A field sum is exact while its absolute value
+# stays below 2^63, which holds when every packed value is below
+# _VALUE_BOUND and the far tail's absolute coefficient sum is below
+# 2^63 / _VALUE_BOUND = 2048.  The crossover with the plain loop was near
+# 10^4 coefficients.
+_PACKED_MIN_LEN = 10_000
+_BLOCK = 256
+_VALUE_BOUND = 1 << 52
+_FIELD_BIAS = 1 << 63
+_ORDER = sys.byteorder
+_FIELDS = struct.Struct(f"={_BLOCK}Q")
+
+
+def _pack(fields):
+    """The int with these _BLOCK unsigned 64-bit fields, lowest first."""
+    return int.from_bytes(_FIELDS.pack(*fields), _ORDER)
+
+
+_VALUE_BIASES = _pack([_VALUE_BOUND] * _BLOCK)
+_FIELD_BIASES = _pack([_FIELD_BIAS] * _BLOCK)
+_BLOCK_MASK = (1 << (64 * _BLOCK)) - 1
+
+
+def _solve_packed(num, den_terms, n):
+    """_solve_plain([], num, den_terms, n), with the far tail offsets
+    summed a block at a time in packed ints.
+
+    Coefficients are produced in blocks of B = _BLOCK; the first block is
+    the plain loop.  A near offset g < B is summed per coefficient by the
+    plain loop's fixed-offset getters.  A far offset g >= B never reads the
+    block being produced, so each finished block i is packed once, as
+    x = sum_f v_f 2^(64 f) over its values v_f, and sent forward: with
+    q, r = divmod(g, B), coefficient c of offset g adds c * (x << 64 r) to
+    the far sums pending for block i + q, whose fields past B spill into
+    the next block.  When block t is due, its pending sums plus the spill
+    of block t - 1 plus a bias of 2^63 per field are masked once and
+    unpacked once (each field is then its far sum + 2^63), and what lies
+    above field B is the spill into block t + 1.
+
+    The overflow guard reads only the values already produced: each block
+    is checked against _VALUE_BOUND before it is packed, and the far
+    tail's weight once, up front.  When either fails, the solve finishes on
+    the plain loop.
+    """
+    B = _BLOCK
+    near, far, weight = {}, {}, 0
+    for g, cg in den_terms:
+        if cg and g < n:
+            if g < B:
+                near.setdefault(cg, []).append(g)
+            else:
+                q, r = divmod(g, B)
+                far.setdefault(r, []).append((q, cg))
+                weight += abs(cg)
+    if not far or weight * _VALUE_BOUND >= _FIELD_BIAS:
+        return _solve_plain([], num, den_terms, n)
+    out = _solve_plain([], num, den_terms, B)
+    append = out.append
+    getters = [(cg, _offset_getter(gs)) for cg, gs in near.items()]
+    shifts = [(64 * r, targets) for r, targets in sorted(far.items())]
+    blocks = -(-n // B)
+    pending = [0] * blocks  # far sums sent ahead to each block
+    spill = 0
+    for t in range(1, blocks):
+        done = out[-B:]
+        if min(done) <= -_VALUE_BOUND or max(done) >= _VALUE_BOUND:
+            return _solve_plain(out, num, den_terms, n)
+        x = _pack([v + _VALUE_BOUND for v in done]) - _VALUE_BIASES
+        for shift, targets in shifts:
+            xs = x << shift
+            for q, cg in targets:
+                u = t - 1 + q
+                if u >= blocks:
+                    break
+                if cg == 1:
+                    pending[u] += xs
+                elif cg == -1:
+                    pending[u] -= xs
+                else:
+                    pending[u] += cg * xs
+        y = pending[t] + spill + _FIELD_BIASES
+        pending[t] = 0
+        spill = y >> (64 * B)
+        far_sums = memoryview((y & _BLOCK_MASK).to_bytes(8 * B, _ORDER)).cast("Q")
+        for c, f in zip(num[t * B:min(n, (t + 1) * B)], far_sums):
+            c += _FIELD_BIAS - f
+            for cg, get in getters:
+                c -= cg * sum(get(out))
+            append(c)
     return out
 
 
@@ -200,6 +324,62 @@ def _sparse_power(tail, e, n):
     return out
 
 
+def _dense(tail, n):
+    """1 + tail as its first n coefficients (n >= 1)."""
+    out = [0] * n
+    out[0] = 1
+    for g, cg in tail:
+        if g >= n:
+            break
+        out[g] = cg
+    return out
+
+
+def _sparse_square(tail, n):
+    """First n coefficients of (1 + tail)**2, from the pairs of tail terms."""
+    out = [1] + [0] * (n - 1)
+    for i, (g, cg) in enumerate(tail):
+        if g >= n:
+            break
+        out[g] += 2 * cg
+        if 2 * g < n:
+            out[2 * g] += cg * cg
+        for h, ch in tail[i + 1:]:
+            if g + h >= n:
+                break
+            out[g + h] += 2 * cg * ch
+    return out
+
+
+def _sparse_mul(dense, tail, n):
+    """First n coefficients of dense * (1 + tail).  dense holds at least n
+    coefficients and is consumed: the product replaces it from the top.
+
+    The mirror of _solve_plain, run downwards: dense is popped from the
+    end, so once dense[k] is popped, dense[k - g] is dense[-g], a fixed
+    offset, and the active tail terms are grouped by coefficient between
+    consecutive offsets.  Each input coefficient is freed as its product
+    coefficient is made.
+    """
+    del dense[n:]
+    out = []
+    append = out.append
+    pop = dense.pop
+    for lo, hi, active in reversed(list(_active_segments(tail, n))):
+        groups = {}
+        for g, cg in active:
+            if cg:
+                groups.setdefault(cg, []).append(g)
+        getters = [(cg, _offset_getter(gs)) for cg, gs in groups.items()]
+        for _ in range(lo, hi):
+            acc = pop()
+            for cg, get in getters:
+                acc += cg * sum(get(dense))
+            append(acc)
+    out.reverse()
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 class QSeries:
@@ -208,7 +388,7 @@ class QSeries:
     __slots__ = ("order24", "coeffs")
 
     def __init__(self, coeffs, order24=0):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("empty coefficient window")
         # normal form: leading coefficient nonzero unless the whole window is 0
@@ -216,7 +396,7 @@ class QSeries:
         if first:
             coeffs = coeffs[first:]
             order24 += 24 * first
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "order24", order24)
 
     def __setattr__(self, name, value):
@@ -301,8 +481,5 @@ def euler_series_rescaled(scale, trunc):
     """prod_{n>=1} (1 - q^(scale*n)) to `trunc` coefficients."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    coeffs = [0] * trunc
-    coeffs[0] = 1
-    for g, s in pentagonal_terms((trunc - 1) // scale):
-        coeffs[g * scale] = s
-    return QSeries(coeffs, 0)
+    tail = [(g * scale, s) for g, s in pentagonal_terms((trunc - 1) // scale)]
+    return QSeries(_dense(tail, trunc), 0)

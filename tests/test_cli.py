@@ -163,14 +163,14 @@ def test_usage_errors_exit_two(capsys):
     bare = ", ".join(sorted(etaprod.CORPUS))
     corpus = "cycloeta expand: error: argument --corpus: invalid choice: 'nope' (choose from {})"
     for argv, last in (
-        (["expand", "--h", "7", "--spec", "1:1"], {"cycloeta: error: give at most one of --h, --spec, --corpus"}),
-        (["expand", "--h", "1"], {"cycloeta: error: --h must be >= 2"}),
-        (["expand", "--spec", "garbage"], {"cycloeta: error: bad spec term 'garbage'; expected scale:exponent"}),
-        (["expand", "--n-max", "0"], {"cycloeta: error: n-max must be >= 1"}),
+        (["expand", "--h", "7", "--spec", "1:1"], {"cycloeta expand: error: give at most one of --h, --spec, --corpus"}),
+        (["expand", "--h", "1"], {"cycloeta expand: error: --h must be >= 2"}),
+        (["expand", "--spec", "garbage"], {"cycloeta expand: error: bad spec term 'garbage'; expected scale:exponent"}),
+        (["expand", "--n-max", "0"], {"cycloeta expand: error: n-max must be >= 1"}),
         (["expand", "--corpus", "nope"], {corpus.format(quoted), corpus.format(bare)}),
-        (["scan", "--h-max", "1"], {"cycloeta: error: --h-max must be >= 2"}),
+        (["scan", "--h-max", "1"], {"cycloeta scan: error: --h-max must be >= 2"}),
         # window below leading degree
-        (["expand", "--h", "7", "--n-max", "1"], {"cycloeta: error: n_max=1 is below the leading exponent 48/24"}),
+        (["expand", "--h", "7", "--n-max", "1"], {"cycloeta expand: error: n_max=1 is below the leading exponent 48/24"}),
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -487,8 +487,39 @@ def test_unproven_primality_is_usage_error():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "cycloeta: error:" in proc.stderr and "is_prime" in proc.stderr
+    assert "cycloeta nondecomp: error:" in proc.stderr and "is_prime" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_never_imports_numpy():
+    # past the packed-solve threshold, the expansion stays in pure Python
+    code = (
+        "import sys; from cycloeta.cli import run; "
+        "code = run(['verify', '--n-max', '10050']); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    proc = _run([sys.executable, "-c", code])
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_verify_compares_values_that_overflow_words(capsys, monkeypatch):
+    # a value past 64 bits keeps its list; the lists still compare exactly
+    big = [0, 0, 1 << 70, 5]
+
+    def table(values):
+        return lambda n_max: lseries.CoeffTable("C", 3, values)
+
+    monkeypatch.setattr(lseries, "c_table", table(big))
+    monkeypatch.setattr(lseries, "c_table_from_expansion", table(list(big)))
+    assert capture(capsys, ["verify", "--format", "json"])[0] == 0
+    monkeypatch.setattr(lseries, "c_table_from_expansion", table([0, 0, 1 << 70, 6]))
+    code, out, _ = capture(capsys, ["verify", "--format", "json"])
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["first_mismatch"], payload["identity_value"]) == (3, 5)
+    monkeypatch.setattr(lseries, "c_table_from_expansion", table([0, 0, 7, 5]))
+    payload = json.loads(capture(capsys, ["verify", "--format", "json"])[1])
+    assert (payload["first_mismatch"], payload["identity_value"]) == (2, 1 << 70)
 
 
 def test_cli_import_leaves_json_and_csv_unloaded():

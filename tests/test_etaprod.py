@@ -19,6 +19,7 @@ from cycloeta.arith import divisors, factorize, moebius, totient
 from cycloeta.etaprod import (
     CORPUS,
     EtaQuotientSpec,
+    _eta_power,
     _family_factors,
     _product,
     cyclotomic_check,
@@ -26,7 +27,7 @@ from cycloeta.etaprod import (
     cyclotomic_spec,
     expand,
 )
-from cycloeta.qseries import QSeries, _solve_quotient, pentagonal_terms
+from cycloeta.qseries import QSeries, _solve_quotient, _sparse_power, pentagonal_terms
 
 
 def literal_product(binomials, n):
@@ -231,8 +232,8 @@ def test_family_matches_dense_construction(h, degree):
 
 
 def test_expand_h7_never_needs_dense_products(monkeypatch):
-    # E(q^7)^7 comes from the power recurrence at n/7 and the division by
-    # E(q) from the pentagonal solve, so the Kronecker kernel never runs
+    # E(q^7)^7 comes from Jacobi's cube at n/7 and the division by E(q)
+    # from the pentagonal solve, so the Kronecker kernel never runs
     def refuse(*args):
         raise AssertionError("Kronecker product on the h = 7 route")
 
@@ -241,6 +242,42 @@ def test_expand_h7_never_needs_dense_products(monkeypatch):
     series = expand(cyclotomic_spec(7), n)
     got = lseries.coeff_table_from_series(series, n)
     assert got.values[1:] == lseries.c_table(n).values[1:]
+
+
+@given(st.integers(1, 12), st.integers(1, 400))
+@settings(max_examples=150, deadline=None)
+def test_eta_power_matches_power_recurrence(e, m):
+    # Jacobi's cube, sparse squares and one sparse product against Miller
+    assert _eta_power(e, m) == _sparse_power(pentagonal_terms(m - 1), e, m)
+
+
+def packed_counter(monkeypatch):
+    calls = []
+    real = qseries._solve_packed
+
+    def counted(num, den_terms, n):
+        calls.append(n)
+        return real(num, den_terms, n)
+
+    monkeypatch.setattr(qseries, "_solve_packed", counted)
+    return calls
+
+
+def test_family_sizes_never_enter_the_packed_solve(monkeypatch):
+    calls = packed_counter(monkeypatch)
+    for spec in [cyclotomic_spec(7), cyclotomic_spec(23),
+                 EtaQuotientSpec.from_map({4: 3, 1: -3, 2: -3}), *CORPUS.values()]:
+        expand(spec, 3000)
+    assert calls == []
+
+
+def test_expansion_just_above_the_packed_threshold(monkeypatch):
+    # 10_049 coefficients: past the threshold and not a multiple of a block
+    calls = packed_counter(monkeypatch)
+    n = 10_050
+    assert lseries.c_table_from_expansion(n) == lseries.c_table(n)
+    assert calls == [n - 1]
+    assert (n - 1) >= qseries._PACKED_MIN_LEN and (n - 1) % qseries._BLOCK
 
 
 def test_expand_of_combined_is_product():

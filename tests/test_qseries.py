@@ -18,14 +18,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cycloeta
+from cycloeta import qseries
 from cycloeta.qseries import (
     QSeries,
+    _dense,
     _kronecker_mul,
     _schoolbook_mul,
+    _solve_packed,
+    _solve_plain,
     _solve_quotient,
+    _sparse_mul,
     _sparse_power,
+    _sparse_square,
     euler_series,
     euler_series_rescaled,
+    jacobi_terms,
     pentagonal_terms,
 )
 
@@ -283,3 +290,150 @@ def test_sparse_power_checks_exact_division():
     # a remainder; the recurrence must refuse instead of rounding
     with pytest.raises(ArithmeticError):
         _sparse_power([(1, Fraction(1, 2))], 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the packed solve against the plain loop
+
+B = qseries._BLOCK
+
+
+def binomial_product(parts):
+    """prod (1 - q^a) over the parts, as a sparse tail: its inverse counts
+    partitions into those parts, so quotients grow only polynomially and
+    stay inside the packed bound."""
+    poly = {0: 1}
+    for a in parts:
+        for g, c in list(poly.items()):
+            poly[g + a] = poly.get(g + a, 0) - c
+    return sorted((g, c) for g, c in poly.items() if g and c)
+
+
+def plain_calls(monkeypatch):
+    """Spy on _solve_plain: the (len(out), n) of every call."""
+    calls = []
+    real = qseries._solve_plain
+
+    def spy(out, num, den_terms, n):
+        calls.append((len(out), n))
+        return real(out, num, den_terms, n)
+
+    monkeypatch.setattr(qseries, "_solve_plain", spy)
+    return calls
+
+
+# parts on and next to the block edges, and far past them
+EDGE_PARTS = [1, 2, 3, 7, 100, B - 1, B, B + 1, 300, 2 * B - 1, 2 * B, 2 * B + 1, 700]
+
+
+@given(
+    st.lists(st.integers(-1000, 1000), max_size=60),
+    st.lists(st.sampled_from(EDGE_PARTS), min_size=1, max_size=4, unique=True),
+    st.integers(1, 1400),
+)
+@example(num=[1], parts=[B], n=B + 1)
+@example(num=[3, -1], parts=[1, B - 1, B + 1], n=2 * B)
+@example(num=[5], parts=[2, 2 * B], n=5 * B + 17)
+@settings(max_examples=150, deadline=None)
+def test_packed_solve_matches_plain_loop(num, parts, n):
+    # tails of a binomial product carry coefficients other than +-1
+    tail = binomial_product(parts)
+    num = (num + [0] * n)[:n]
+    assert _solve_packed(num, tail, n) == _solve_plain([], num, tail, n)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=40),
+    st.lists(st.sampled_from(EDGE_PARTS), min_size=1, max_size=3, unique=True),
+    st.sampled_from([1, -1]),
+    st.integers(600, 1300),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_quotient_routes_through_the_packed_solve(num, parts, den_lead, n):
+    # with the threshold lowered, _solve_quotient itself runs the packed
+    # solve; den_lead = -1 is handled before it
+    tail = binomial_product(parts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries, "_PACKED_MIN_LEN", 1)
+        got = _solve_quotient(num, tail, den_lead, n)
+    assert got == _solve_quotient(num, tail, den_lead, n)
+    back = _schoolbook_mul(got, dense(den_lead, tail, n), n)
+    assert back == (num + [0] * n)[:n]
+
+
+def test_packed_solve_runs_packed_on_eta_quotients(monkeypatch):
+    # E(q^7)^7 / E(q): the plain loop runs only the first block
+    calls = plain_calls(monkeypatch)
+    n = 3000
+    num = [0] * n
+    num[::7] = _sparse_power(pentagonal_terms((n - 1) // 7), 7, (n - 1) // 7 + 1)
+    den = pentagonal_terms(n - 1)
+    got = _solve_packed(num, den, n)
+    assert calls == [(0, B)]
+    assert got == _solve_plain([], num, den, n)
+
+
+def test_packed_solve_falls_back_on_large_values(monkeypatch):
+    calls = plain_calls(monkeypatch)
+    n = 4 * B + 10
+    tail = binomial_product([3, B + 5])
+    num = [1] * n
+    num[0] = 1 << 52  # too large for a field: the first block never packs
+    assert _solve_packed(num, tail, n) == _solve_plain([], num, tail, n)
+    assert calls[:2] == [(0, B), (B, n)]
+    calls.clear()
+    num = [1] * n
+    num[2 * B + 7] = 1 << 60  # block 2 is checked when block 3 is due
+    assert _solve_packed(num, tail, n) == _solve_plain([], num, tail, n)
+    assert calls[:2] == [(0, B), (3 * B, n)]
+
+
+def test_packed_solve_falls_back_on_heavy_tails(monkeypatch):
+    calls = plain_calls(monkeypatch)
+    n = 3 * B
+    # one far coefficient of 2^11: 2^11 * 2^52 reaches the 2^63 field bound
+    tail = [(1, -1), (B + 3, 1 << 11)]
+    num = [1] + [0] * (n - 1)
+    assert _solve_packed(num, tail, n) == _solve_plain([], num, tail, n)
+    assert calls[0] == (0, n)
+
+    # 2^11 far offsets of weight 1: the plain loop runs from the start
+    class Stop(Exception):
+        pass
+
+    def stop(out, num, den_terms, n):
+        raise Stop(len(out), n)
+
+    monkeypatch.setattr(qseries, "_solve_plain", stop)
+    tail = [(g, 1) for g in range(B, B + (1 << 11))]
+    n = B + (1 << 11) + 1
+    with pytest.raises(Stop) as exc:
+        _solve_packed([1] + [0] * (n - 1), tail, n)
+    assert exc.value.args == (0, n)
+
+
+# ---------------------------------------------------------------------------
+# sparse products and Jacobi's cube
+
+
+def test_jacobi_terms_is_euler_cubed():
+    for m in (1, 2, 7, 50, 400):
+        assert _dense(jacobi_terms(m - 1), m) == _sparse_power(pentagonal_terms(m - 1), 3, m)
+    assert jacobi_terms(10) == [(1, -3), (3, 5), (6, -7), (10, 9)]
+
+
+@given(sparse_tails, st.integers(1, 60))
+@settings(max_examples=200, deadline=None)
+def test_sparse_square_matches_schoolbook(tail, n):
+    d = dense(1, tail, n)
+    assert _sparse_square(tail, n) == _schoolbook_mul(d, d, n)
+
+
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=60), tails)
+@settings(max_examples=200, deadline=None)
+def test_sparse_mul_matches_schoolbook(values, tail):
+    n = len(values)
+    want = _schoolbook_mul(values, dense(1, tail, n), n)
+    consumed = list(values) + [7]  # entries past n are dropped
+    assert _sparse_mul(consumed, tail, n) == want
+    assert consumed == []

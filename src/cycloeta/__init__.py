@@ -35,7 +35,7 @@ from .lseries import (
     c_table_from_expansion,
     euler_truncate,
 )
-from .qseries import QSeries, euler_series
+from .qseries import QSeries
 from .quadfield import (
     PI_TWO,
     EulerFactor,
@@ -78,7 +78,6 @@ __all__ = [
     "cyclotomic_check",
     "cyclotomic_spec",
     "epsilon",
-    "euler_series",
     "euler_truncate",
     "expand",
     "factorize",

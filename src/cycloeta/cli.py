@@ -422,7 +422,8 @@ def _render_text(payload):
                     f"{e['first_negative_num24']}/24"
                 )
             lines.append(f"h={e['h']}: {verdict}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

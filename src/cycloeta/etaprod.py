@@ -43,32 +43,12 @@ class EtaQuotientSpec:
             raise ValueError("exponents must be nonzero")
         object.__setattr__(self, "terms", terms)
 
-    @classmethod
-    def from_map(cls, mapping):
-        return cls(tuple(mapping.items()))
-
-    def as_map(self):
-        return dict(self.terms)
-
     def order24(self):
         """Leading exponent of the q-expansion, in units of 1/24."""
         return sum(s * e for s, e in self.terms)
 
     def weight(self):
         return Fraction(sum(e for _, e in self.terms), 2)
-
-    def rescaled(self, m):
-        """tau -> m*tau: every scale multiplies by m."""
-        if m < 1:
-            raise ValueError("rescale factor must be >= 1")
-        return EtaQuotientSpec(tuple((s * m, e) for s, e in self.terms))
-
-    def combined(self, other):
-        """Spec of the product of the two quotients (exponents add)."""
-        merged = self.as_map()
-        for s, e in other.terms:
-            merged[s] = merged.get(s, 0) + e
-        return EtaQuotientSpec(tuple((s, e) for s, e in merged.items() if e))
 
     def __str__(self):
         def side(pairs):

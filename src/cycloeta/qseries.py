@@ -1,14 +1,14 @@
 """Truncated power series in q with exact integer coefficients.
 
-A QSeries is q**(order24/24) * (c[0] + c[1]*q + ... + c[t-1]*q**(t-1)) with
-the leading exponent tracked in units of 1/24, the natural grain for eta
-factors.  Coefficients are Python ints, so arithmetic is exact at any size.
-The one fixed-width path, the packed quotient solve, checks its bound on
-the values it has produced and otherwise finishes in Python ints.
+The kernels here work on bare coefficient lists truncated to n terms:
+products, sparse powers and the quotient solve against a sparse tail.
+Coefficients are Python ints, so arithmetic is exact at any size.  The one
+fixed-width path, the packed quotient solve, checks its bound on the values
+it has produced and otherwise finishes in Python ints.
 
-Truncation policy: every operation returns the largest window both operands
-justify (min of the operand windows for products) and never grows a window
-silently.  Series are immutable once built.
+A QSeries is the immutable result of an expansion:
+q**(order24/24) * (c[0] + c[1]*q + ... + c[t-1]*q**(t-1)), with the leading
+exponent tracked in units of 1/24, the natural grain for eta factors.
 """
 
 import struct
@@ -55,7 +55,7 @@ def jacobi_terms(limit):
 
 
 # ---------------------------------------------------------------------------
-# kernels on bare coefficient lists (window handling lives in QSeries)
+# kernels on bare coefficient lists
 
 def _schoolbook_mul(a, b, n):
     if len(b) < len(a):
@@ -415,71 +415,3 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return self.order24 == other.order24 and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order24, self.coeffs))
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def coeff24(self, num24):
-        """Coefficient of q**(num24/24), or None outside the window."""
-        d, r = divmod(num24 - self.order24, 24)
-        if r != 0 or d < 0 or d >= self.trunc:
-            return None
-        return self.coeffs[d]
-
-    def agrees_with(self, other):
-        """True when the two series match on the overlap of their windows.
-
-        A coefficient off the other series' exponent grid is compared with
-        0, so misaligned grids agree only where both vanish on the overlap.
-        """
-        lo = max(self.order24, other.order24)
-        hi = min(self.order24 + 24 * self.trunc, other.order24 + 24 * other.trunc)
-        return all(
-            (self.coeff24(n24) or 0) == (other.coeff24(n24) or 0)
-            for n24 in range(lo, hi)
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        out = _mul_lists(list(self.coeffs), list(other.coeffs), n)
-        return QSeries(out, self.order24 + other.order24)
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            raise ValueError("QSeries has no inverse; divide by a quotient solve")
-        n = self.trunc
-        base = list(self.coeffs)
-        result = [1] + [0] * (n - 1)
-        for _ in range(e):
-            result = _mul_lists(result, base, n)
-        return QSeries(result, self.order24 * e)
-
-    def rescaled(self, m):
-        """Substitute q -> q**m (m >= 1): exponents stretch by m."""
-        if m < 1:
-            raise ValueError("rescale factor must be >= 1")
-        out = [0] * ((self.trunc - 1) * m + 1)
-        out[::m] = self.coeffs
-        return QSeries(out, self.order24 * m)
-
-
-def euler_series(trunc):
-    """prod_{n>=1} (1 - q^n) to `trunc` coefficients, via the pentagonal theorem."""
-    if trunc < 1:
-        raise ValueError("trunc must be >= 1")
-    return euler_series_rescaled(1, trunc)
-
-
-def euler_series_rescaled(scale, trunc):
-    """prod_{n>=1} (1 - q^(scale*n)) to `trunc` coefficients."""
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    tail = [(g * scale, s) for g, s in pentagonal_terms((trunc - 1) // scale)]
-    return QSeries(_dense(tail, trunc), 0)

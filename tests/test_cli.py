@@ -27,6 +27,7 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def capture(capsys, argv):
@@ -59,7 +60,7 @@ def test_expand_fractional_json(capsys):
     assert payload["exponent_integral"] is False
     assert payload["order24"] == 9
     assert payload["rows"] == [[9, 1], [33, 1], [57, 1], [81, 2], [105, 0]]
-    assert cli.spec_from_payload(payload).as_map() == {4: 2, 2: 1, 1: -1}
+    assert dict(cli.spec_from_payload(payload).terms) == {4: 2, 2: 1, 1: -1}
     assert "known_discrepancies" not in payload
 
 
@@ -352,13 +353,17 @@ def test_programming_errors_are_not_check_failures(capsys, monkeypatch):
 
 
 def test_inexact_power_recurrence_exits_one(capsys, monkeypatch):
-    # the real recurrence on a non-integral tail, (1 + q/2)^1, leaves a remainder
+    # the real recurrence on a non-integral tail, (1 + q/2)^1, leaves a
+    # remainder; E(q)^5 goes to the recurrence at every length
+    calls = []
+
     def inexact(tail, e, n):
+        calls.append(e)
         return qseries._sparse_power([(1, Fraction(1, 2))], 1, 3)
 
     monkeypatch.setattr(etaprod, "_sparse_power", inexact)
-    code, out, err = capture(capsys, ["expand", "--n-max", "10"])
-    assert (code, out) == (1, "")
+    code, out, err = capture(capsys, ["expand", "--spec", "1:5", "--n-max", "100"])
+    assert (code, out, calls) == (1, "", [5])
     assert err == "mathematical check failed: power recurrence: division by 1 is not exact\n"
 
 
@@ -476,6 +481,12 @@ def test_installed_console_script_runs():
 
 def test_module_form_runs():
     _assert_exit_codes([sys.executable, "-m", "cycloeta"])
+
+
+def test_readme_library_snippet_runs():
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
 
 
 def test_unproven_primality_is_usage_error():

@@ -4,8 +4,9 @@ Frozen coefficient lists were computed by hand or with the literal-product
 oracle (multiply Euler factors, multiply by the inverse series) before the
 division-based `expand` existed.  `literal_product` shares no kernel with
 `etaprod._product`: it applies one binomial (1 - q^k) at a time.
-`dense_family_series` builds the cyclotomic family by binary powering and
-dense products, sharing only the quotient solve with `_product`.
+`dense_family_series` builds the cyclotomic family by repeated schoolbook
+products with one binomial, sharing only the quotient solve and the
+schoolbook kernel with `_product`.
 """
 
 from math import prod
@@ -27,7 +28,7 @@ from cycloeta.etaprod import (
     cyclotomic_spec,
     expand,
 )
-from cycloeta.qseries import QSeries, _solve_quotient, _sparse_power, pentagonal_terms
+from cycloeta.qseries import _schoolbook_mul, _solve_quotient, _sparse_power, pentagonal_terms
 
 
 def literal_product(binomials, n):
@@ -43,6 +44,11 @@ def literal_product(binomials, n):
                 for i in range(k, n):
                     out[i] += out[i - k]
     return out
+
+
+def rescaled(spec, m):
+    """The spec at tau -> m*tau: every scale multiplies by m."""
+    return EtaQuotientSpec(tuple((s * m, e) for s, e in spec.terms))
 
 
 def eta_binomials(scale, e, n):
@@ -62,19 +68,19 @@ def test_spec_validation():
 
 
 def test_spec_map_roundtrip_and_str():
-    s = EtaQuotientSpec.from_map({7: 7, 1: -1})
-    assert s.as_map() == {1: -1, 7: 7}
+    s = EtaQuotientSpec(tuple({7: 7, 1: -1}.items()))
+    assert dict(s.terms) == {1: -1, 7: 7}
     assert str(s) == "7^7/1"
     assert str(EtaQuotientSpec(((2, 2),))) == "2^2"
     assert str(EtaQuotientSpec(((1, -1),))) == "1/1"
 
 
 def test_cyclotomic_spec_small_h():
-    assert cyclotomic_spec(7).as_map() == {7: 7, 1: -1}
-    assert cyclotomic_spec(2).as_map() == {2: 2, 1: -1}
-    assert cyclotomic_spec(4).as_map() == {4: 2, 2: 1, 1: -1}
-    assert cyclotomic_spec(6).as_map() == {6: 1, 3: 1, 2: 1, 1: -1}
-    assert cyclotomic_spec(49).as_map() == {49: 42, 7: 1, 1: -1}
+    assert dict(cyclotomic_spec(7).terms) == {7: 7, 1: -1}
+    assert dict(cyclotomic_spec(2).terms) == {2: 2, 1: -1}
+    assert dict(cyclotomic_spec(4).terms) == {4: 2, 2: 1, 1: -1}
+    assert dict(cyclotomic_spec(6).terms) == {6: 1, 3: 1, 2: 1, 1: -1}
+    assert dict(cyclotomic_spec(49).terms) == {49: 42, 7: 1, 1: -1}
     with pytest.raises(ValueError):
         cyclotomic_spec(1)
 
@@ -105,19 +111,11 @@ def test_weight():
 
 
 def test_rescaled_and_corpus():
-    assert CORPUS["48^3/24"] == EtaQuotientSpec(((2, 3), (1, -1))).rescaled(24)
-    assert CORPUS["32^2*16/8"] == cyclotomic_spec(4).rescaled(8)
-    assert CORPUS["72*36*24/12"] == cyclotomic_spec(6).rescaled(12)
+    assert CORPUS["48^3/24"] == rescaled(EtaQuotientSpec(((2, 3), (1, -1))), 24)
+    assert CORPUS["32^2*16/8"] == rescaled(cyclotomic_spec(4), 8)
+    assert CORPUS["72*36*24/12"] == rescaled(cyclotomic_spec(6), 12)
     for key, spec in CORPUS.items():
         assert str(spec) == key
-    with pytest.raises(ValueError):
-        cyclotomic_spec(4).rescaled(0)
-
-
-def test_combined_merges_and_cancels():
-    a = EtaQuotientSpec(((1, 2), (3, 1)))
-    b = EtaQuotientSpec(((1, -2), (2, 5)))
-    assert a.combined(b).as_map() == {2: 5, 3: 1}
 
 
 # leading coefficients of the h = 7 quotient, index i <-> q**(2 + i)
@@ -128,8 +126,6 @@ def test_expand_h7_frozen_head():
     s = expand(cyclotomic_spec(7), 14)
     assert s.order24 == 48
     assert list(s.coeffs) == H7_HEAD
-    assert s.coeff24(48) == 1
-    assert s.coeff24(24 * 12) == 21
 
 
 def test_expand_h4_fractional_head():
@@ -137,9 +133,6 @@ def test_expand_h4_fractional_head():
     s = expand(cyclotomic_spec(4), 5)
     assert s.order24 == 9
     assert list(s.coeffs) == [1, 1, 1, 2, 0]
-    assert s.coeff24(9) == 1
-    assert s.coeff24(9 + 24 * 3) == 2
-    assert s.coeff24(10) is None
 
 
 def test_expand_window_too_small():
@@ -156,7 +149,7 @@ def test_expand_empty_spec_is_one():
 LITERAL_SPECS = [
     pytest.param(cyclotomic_spec(h), id=str(h)) for h in [2, 3, 4, 5, 6, 7, 10, 12]
 ] + [
-    pytest.param(EtaQuotientSpec.from_map(m), id=key)
+    pytest.param(EtaQuotientSpec(tuple(m.items())), id=key)
     for key, m in [
         ("6:2,3:4,2:1,1:-2", {6: 2, 3: 4, 2: 1, 1: -2}),
         ("5:3,4:1,2:2,1:1", {5: 3, 4: 1, 2: 2, 1: 1}),
@@ -202,18 +195,20 @@ def test_product_matches_literal_product(draws, n):
 
 def dense_family_series(d, m, degree):
     """The d-th family polynomial at lambda**m through lambda**degree, by
-    binary powering the binomial and dense products."""
+    repeated schoolbook products with the binomial."""
     n = degree + 1
 
     def binomial(k):
-        return QSeries([1] + [-1 if i == k else 0 for i in range(1, n)], 0)
+        return [1] + [-1 if i == k else 0 for i in range(1, n)]
 
-    coeffs = list((binomial(d * m) ** totient(d)).coeffs)
+    coeffs = [1] + [0] * degree
+    for _ in range(totient(d)):
+        coeffs = _schoolbook_mul(coeffs, binomial(d * m), n)
     for t in divisors(d):
         if moebius(t) == 1:
             coeffs = _solve_quotient(coeffs, [(t * m, -1)], 1, n)
         elif moebius(t) == -1:
-            coeffs = list((QSeries(coeffs, 0) * binomial(t * m)).coeffs)
+            coeffs = _schoolbook_mul(coeffs, binomial(t * m), n)
     return coeffs
 
 
@@ -266,7 +261,7 @@ def packed_counter(monkeypatch):
 def test_family_sizes_never_enter_the_packed_solve(monkeypatch):
     calls = packed_counter(monkeypatch)
     for spec in [cyclotomic_spec(7), cyclotomic_spec(23),
-                 EtaQuotientSpec.from_map({4: 3, 1: -3, 2: -3}), *CORPUS.values()]:
+                 EtaQuotientSpec(((4, 3), (1, -3), (2, -3))), *CORPUS.values()]:
         expand(spec, 3000)
     assert calls == []
 
@@ -284,13 +279,22 @@ def test_expand_of_combined_is_product():
     n = 40
     s1 = cyclotomic_spec(3)
     s2 = cyclotomic_spec(5)
-    both = expand(s1.combined(s2), n)
-    assert both.agrees_with(expand(s1, n) * expand(s2, n))
+    merged = dict(s1.terms)
+    for s, e in s2.terms:
+        merged[s] = merged.get(s, 0) + e
+    both = expand(EtaQuotientSpec(tuple(merged.items())), n)
+    e1, e2 = expand(s1, n), expand(s2, n)
+    assert both.order24 == e1.order24 + e2.order24
+    assert list(both.coeffs) == _schoolbook_mul(list(e1.coeffs), list(e2.coeffs), both.trunc)
 
 
 def test_expand_rescale_commutes():
     base = cyclotomic_spec(7)
-    assert expand(base.rescaled(3), 60).agrees_with(expand(base, 20).rescaled(3))
+    got = expand(rescaled(base, 3), 60)
+    want = expand(base, 20)
+    assert got.order24 == 3 * want.order24
+    assert list(got.coeffs[::3]) == list(want.coeffs)
+    assert not any(c for i, c in enumerate(got.coeffs) if i % 3)
 
 
 PHI2 = [1, 1, -1, -1]

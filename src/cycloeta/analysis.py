@@ -10,7 +10,7 @@ actually verified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 from . import etaprod, lseries
@@ -77,35 +77,28 @@ class PositivityReport:
     n_max: int
     failures: list[int]          # n >= 2 with c(n) <= 0
     casewise: list[CaseMargin]   # every prime power <= n_max
-    inequality_failures: list[CaseMargin] = field(default_factory=list)
+    inequality_failures: list[CaseMargin]
 
     @property
     def verified(self):
         return not self.failures and not self.inequality_failures
 
 
-def check_positivity(n_max, c=None):
+def check_positivity(n_max):
     """Verify c(n) > 0 for 2 <= n <= n_max directly, and the three case
     inequalities at every prime power <= n_max.
 
-    Without a c table, the margins take a(p^k) and b(p^k) from the tables
-    that c is built from, and c is freed before they are built; a given
-    table gets the closed-form margins."""
-    if c is None:
-        c, a_at, b_at = lseries.c_table(
-            n_max, at=(q for _, _, q in _prime_powers(n_max))
-        )
-        margins = (
-            _margin(p, k, a, b)
-            for (p, k, _), a, b in zip(_prime_powers(n_max), a_at, b_at)
-        )
-    elif c.n_max < n_max:
-        raise IndexError(f"n={n_max} outside 1..{c.n_max}")
-    else:
-        margins = (case_margin(p, k) for p, k, _ in _prime_powers(n_max))
+    The margins take a(p^k) and b(p^k) from the tables that c is built
+    from, and c is freed before they are built."""
+    c, a_at, b_at = lseries.c_table(
+        n_max, at=(q for _, _, q in _prime_powers(n_max))
+    )
     failures = [n for n, v in enumerate(islice(c.values, 2, n_max + 1), 2) if v <= 0]
     del c
-    casewise = list(margins)
+    casewise = [
+        _margin(p, k, a, b)
+        for (p, k, _), a, b in zip(_prime_powers(n_max), a_at, b_at)
+    ]
     bad = [m for m in casewise if not m.ok]
     return PositivityReport(n_max, failures, casewise, bad)
 
@@ -205,17 +198,14 @@ class NondecompWitness:
         return self.m is not None and self.zero_range_ok and self.nonzero_range_ok
 
 
-def nondecomp_witness(p, table=None):
+def nondecomp_witness(p):
     """Build and validate the witness for prime p >= 11."""
     if p < 11 or not is_prime(p):
         raise ValueError("the argument applies to primes p >= 11 only")
     bound = (p * p - 1) // 24
     hi = bound + p - 1  # last index that must be nonzero
-    if table is None:
-        series = etaprod.expand(etaprod.cyclotomic_spec(p), hi)
-        table = lseries.coeff_table_from_series(series, hi)
-    if table.n_max < hi:
-        raise ValueError(f"table must cover n <= {hi}")
+    series = etaprod.expand(etaprod.cyclotomic_spec(p), hi)
+    table = lseries.coeff_table_from_series(series, hi)
     zero_ok = all(table[n] == 0 for n in range(1, bound))
     nonzero_ok = all(table[n] != 0 for n in range(bound, hi + 1))
     m = None

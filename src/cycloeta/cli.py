@@ -14,7 +14,6 @@ truncation when --n-max is not given.
 import argparse
 import os
 import sys
-from dataclasses import fields
 from itertools import islice
 from operator import itemgetter
 
@@ -253,48 +252,6 @@ def _cmd_scan(args):
     n_max = _resolve_n_max(args)
     entries = list(map(vars, analysis.conjecture_scan(args.h_max, n_max)))
     return {"command": "scan", "h_max": args.h_max, "n_max": n_max, "entries": entries}, 0
-
-
-# ---------------------------------------------------------------------------
-# payload readers: rebuild report objects from parsed JSON output, so the
-# machine-readable format is checkable against the reports it came from
-
-def _from_dict(cls, d):
-    """The report dataclass `cls` whose fields are the same-named keys of d."""
-    return cls(**{f.name: d[f.name] for f in fields(cls)})
-
-
-def margin_from_dict(d):
-    return _from_dict(analysis.CaseMargin, d)
-
-
-def spec_from_payload(payload):
-    return etaprod.EtaQuotientSpec(tuple(tuple(t) for t in payload["spec_terms"]))
-
-
-def positivity_from_payload(payload):
-    margins = {
-        key: [margin_from_dict(m) for m in payload[key]]
-        for key in ("casewise", "inequality_failures")
-    }
-    return _from_dict(analysis.PositivityReport, {**payload, **margins})
-
-
-def nondecomp_from_payload(payload):
-    return _from_dict(analysis.NondecompWitness, payload)
-
-
-def uniqueness_from_payload(payload):
-    witness = None
-    if payload["witness_indices"] is not None:
-        witness = analysis.UniquenessWitness(
-            tuple(payload["witness_indices"]), tuple(payload["witness_coeffs"])
-        )
-    return _from_dict(analysis.UniquenessReport, {**payload, "witness": witness})
-
-
-def scan_from_payload(payload):
-    return [_from_dict(analysis.ScanEntry, e) for e in payload["entries"]]
 
 
 # ---------------------------------------------------------------------------

@@ -76,21 +76,16 @@ def cyclotomic_spec(h):
     return EtaQuotientSpec(tuple((s, e) for s, e in exps.items() if e))
 
 
-# Below this length Miller's recurrence is as fast as the sparse routes of
-# _eta_power (measured at e = 2, 4 and 7).
-_JACOBI_MIN_LEN = 32
-
-
 def _eta_power(e, m):
     """First m coefficients of E(q)**e, e >= 1, where E(q) = prod (1 - q^n).
 
     E and E^3 are sparse outright (Euler's pentagonal tail, Jacobi's
     cube), E^2 and E^6 are their sparse squares, and E^4 and E^7 take one
-    fixed-offset multiplication of E^3 and E^6 by E.  Every other exponent,
-    and every length below _JACOBI_MIN_LEN, goes to Miller's recurrence.
+    fixed-offset multiplication of E^3 and E^6 by E.  Every other exponent
+    goes to Miller's recurrence.
     """
     pent = pentagonal_terms(m - 1)
-    if m < _JACOBI_MIN_LEN or e not in (1, 2, 3, 4, 6, 7):
+    if e not in (1, 2, 3, 4, 6, 7):
         return _sparse_power(pent, e, m)
     tail = pent if e < 3 else jacobi_terms(m - 1)
     base = _dense(tail, m) if e in (1, 3, 4) else _sparse_square(tail, m)

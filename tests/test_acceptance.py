@@ -76,9 +76,8 @@ def test_criterion_3_oracle_equivalence(identity_pipeline):
     assert lseries.euler_truncate(N_ORACLE_B).values == bt.values
 
 
-def test_criterion_4_positivity(identity_pipeline):
-    table, _ = identity_pipeline
-    report = analysis.check_positivity(N_IDENTITY, table)
+def test_criterion_4_positivity():
+    report = analysis.check_positivity(N_IDENTITY)
     assert report.verified, (report.failures[:5], report.inequality_failures[:5])
     assert report.failures == []
     assert all(m.ok for m in report.casewise)

@@ -3,6 +3,7 @@ family scan."""
 
 import pytest
 
+from cycloeta import lseries
 from cycloeta.analysis import (
     CaseMargin,
     UniquenessWitness,
@@ -15,7 +16,7 @@ from cycloeta.analysis import (
 )
 from cycloeta.arith import primes_up_to
 from cycloeta.etaprod import cyclotomic_spec, expand
-from cycloeta.lseries import CoeffTable, c_table, coeff_table_from_series, expansion_values
+from cycloeta.lseries import c_table, expansion_values
 
 
 def test_case_margin_frozen():
@@ -50,22 +51,22 @@ def test_check_positivity_margins_from_tables_match_closed_forms(n_max):
     ]
     report = check_positivity(n_max)
     assert report.casewise == closed
-    assert report.casewise == check_positivity(n_max, c_table(n_max)).casewise
     assert report.verified
 
 
-def test_check_positivity_flags_injected_failure():
-    values = [0, 0] + [1] * 9
-    values[5] = -2
-    values[7] = 0
-    report = check_positivity(10, CoeffTable("C", 10, values))
+def test_check_positivity_flags_injected_failure(monkeypatch):
+    honest = lseries.c_table
+
+    def tampered(n_max, at=None):
+        c, a_at, b_at = honest(n_max, at=at)
+        c.values[5] = -2
+        c.values[7] = 0
+        return c, a_at, b_at
+
+    monkeypatch.setattr(lseries, "c_table", tampered)
+    report = check_positivity(10)
     assert report.failures == [5, 7]
     assert not report.verified
-
-
-def test_check_positivity_needs_a_long_enough_table():
-    with pytest.raises(IndexError):
-        check_positivity(20, c_table(10))
 
 
 def test_uniqueness_witness_validation():
@@ -121,19 +122,6 @@ def test_nondecomp_witness_rejects_bad_p():
         nondecomp_witness(7)
     with pytest.raises(ValueError):
         nondecomp_witness(12)
-
-
-def test_nondecomp_witness_table_too_short():
-    series = expand(cyclotomic_spec(11), 10)
-    short = coeff_table_from_series(series, 10)
-    with pytest.raises(ValueError):
-        nondecomp_witness(11, short)
-
-
-def test_nondecomp_witness_supplied_table():
-    series = expand(cyclotomic_spec(11), 40)
-    table = coeff_table_from_series(series, 40)
-    assert nondecomp_witness(11, table).valid
 
 
 def test_conjecture_scan_small():

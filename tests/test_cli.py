@@ -60,7 +60,7 @@ def test_expand_fractional_json(capsys):
     assert payload["exponent_integral"] is False
     assert payload["order24"] == 9
     assert payload["rows"] == [[9, 1], [33, 1], [57, 1], [81, 2], [105, 0]]
-    assert dict(cli.spec_from_payload(payload).terms) == {4: 2, 2: 1, 1: -1}
+    assert payload["spec_terms"] == [[1, -1], [2, 1], [4, 2]]
     assert "known_discrepancies" not in payload
 
 
@@ -113,33 +113,42 @@ def test_positivity_json_roundtrip(capsys):
     code, out, _ = capture(capsys, ["positivity", "--n-max", "200", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    rebuilt = cli.positivity_from_payload(payload)
-    assert rebuilt == analysis.check_positivity(200)
-    assert rebuilt.verified
+    report = analysis.check_positivity(200)
+    assert {f.name for f in dataclasses.fields(report)} <= payload.keys()
+    assert payload["n_max"] == report.n_max == 200
+    assert payload["failures"] == report.failures
+    assert payload["casewise"] == [vars(m) for m in report.casewise]
+    assert payload["inequality_failures"] == [vars(m) for m in report.inequality_failures]
+    assert payload["verified"] is report.verified is True
 
 
 def test_nondecomp_json_roundtrip(capsys):
     code, out, _ = capture(capsys, ["nondecomp", "--p", "13", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert cli.nondecomp_from_payload(payload) == analysis.nondecomp_witness(13)
+    witness = analysis.nondecomp_witness(13)
+    assert {name: payload[name] for name in vars(witness)} == vars(witness)
+    assert payload["valid"] is witness.valid is True
 
 
 def test_uniqueness_json_roundtrip(capsys):
     code, out, _ = capture(capsys, ["uniqueness", "--n-max", "300", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    rebuilt = cli.uniqueness_from_payload(payload)
-    assert rebuilt == analysis.uniqueness_hypotheses(lseries.c_table(300).values)
-    assert payload["witness_indices"] == [2, 3, 5, 7, 11]
-    assert payload["witness_coeffs"] == [1, 1, 3, 7, 16]
+    report = analysis.uniqueness_hypotheses(lseries.c_table(300).values)
+    assert payload["c1_zero"] is report.c1_zero is True
+    assert payload["searched_to"] == report.searched_to == 300
+    # the witness enters the payload as its two tuples
+    assert payload["witness_indices"] == list(report.witness.indices) == [2, 3, 5, 7, 11]
+    assert payload["witness_coeffs"] == list(report.witness.coeffs) == [1, 1, 3, 7, 16]
+    assert payload["verified"] is report.verified is True
 
 
 def test_scan_json_roundtrip(capsys):
     code, out, _ = capture(capsys, ["scan", "--h-max", "6", "--n-max", "80", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert cli.scan_from_payload(payload) == analysis.conjecture_scan(6, 80)
+    assert payload["entries"] == [vars(e) for e in analysis.conjecture_scan(6, 80)]
 
 
 def test_uniqueness_failing_spec_exits_one(capsys):

@@ -2,12 +2,13 @@
 character mod 7, and a slice-filled sieve for multiplicative functions.
 
 Everything here works on plain Python ints, so all arithmetic is exact and
-never overflows.
+never overflows; the sieve stores its table as 64-bit words and raises
+OverflowError for a value that does not fit, rather than wrap it.
 """
 
 import math
-from itertools import compress, islice
-from operator import floordiv, mul
+from itertools import compress, islice, repeat
+from operator import floordiv, getitem, mul
 
 # Quadratic residues mod 7 are {1, 2, 4}.  eps is the completely
 # multiplicative character with eps(7) = 0.
@@ -36,7 +37,8 @@ def primes_up_to(n):
     """All primes <= n, ascending."""
     if n < 2:
         return []
-    return list(compress(range(n + 1), prime_flags(n)))
+    # 2, then the odd flags only: half the range to walk
+    return [2, *compress(range(3, n + 1, 2), prime_flags(n)[3::2])]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -141,9 +143,12 @@ def spf_table(n_max):
 def sieve_multiplicative(prime_power_rule, n_max):
     """Tabulate the multiplicative function with the given prime-power values.
 
-    prime_power_rule(p, k) must return f(p**k).  Returns table with
-    table[0] = 0, table[1] = 1, table[n] = f(n) for 2 <= n <= n_max.
-    Each distinct (p, k) is evaluated once; the rest is table lookups.
+    prime_power_rule(p, k) must return f(p**k).  Returns an array('q')
+    table with table[0] = 0, table[1] = 1, table[n] = f(n) for
+    2 <= n <= n_max: 8 bytes a value against about 40 in a list of ints.
+    A value past 64 bits (each f(p**k) is a table value too) raises
+    OverflowError.  Each distinct (p, k) is evaluated once; the rest is
+    table lookups.
 
     Slice fills mark every multiple of each prime power q = p**k with q and
     f(q), so part[n] ends as the full power of one prime of n (whichever
@@ -153,11 +158,13 @@ def sieve_multiplicative(prime_power_rule, n_max):
     n <= n_max once, and beside a smaller prime that marks n unless n = p,
     so p marks only its own slot.
     """
+    from array import array  # off the start-up path of commands with no table
+
     if n_max < 1:
         raise ValueError("sieve_multiplicative requires n_max >= 1")
     root = math.isqrt(n_max)
-    part = [1] * (n_max + 1)
-    local = [0] * (n_max + 1)
+    part = array("q", (1,)) * (n_max + 1)
+    local = array("q", (0,)) * (n_max + 1)
     for p in primes_up_to(n_max):
         if p > root:
             part[p] = p
@@ -166,15 +173,18 @@ def sieve_multiplicative(prime_power_rule, n_max):
         q, k = p, 1
         while q <= n_max:
             count = n_max // q
-            part[q::q] = [q] * count
-            local[q::q] = [prime_power_rule(p, k)] * count
+            part[q::q] = array("q", (q,)) * count
+            local[q::q] = array("q", (prime_power_rule(p, k),)) * count
             q *= p
             k += 1
-    # One pass at C speed: list.extend appends each product as the map
+    # One pass at C speed: array.extend appends each product as the map
     # yields it, so the lookup of n // part[n] < n reads a filled entry.
     # (An extend that drained the map first would raise IndexError here,
-    # never return a wrong table.)
+    # never return a wrong table.)  part and local are words too: as lists
+    # they would keep an int object alive for every prime above the root,
+    # 42 MB at 1e7.  getitem reads the array without the argument tuple
+    # that a call of table.__getitem__ builds.
     rest = map(floordiv, range(2, n_max + 1), islice(part, 2, None))
-    table = [0, 1]
-    table.extend(map(mul, map(table.__getitem__, rest), islice(local, 2, None)))
+    table = array("q", (0, 1))
+    table.extend(map(mul, map(getitem, repeat(table), rest), islice(local, 2, None)))
     return table

@@ -177,23 +177,12 @@ def _cmd_coeffs(args):
     return {"command": "coeffs", "n_max": n_max, "rows": rows}, 0
 
 
-def _words(values):
-    """values as an array of 64-bit ints (8 bytes a value against about 40
-    in a list of ints), or the list itself when a value does not fit."""
-    from array import array
-
-    try:
-        return array("q", values)
-    except OverflowError:
-        return values
-
-
 def _cmd_verify(args):
     n_max = _resolve_n_max(args)
-    # the identity table waits in words while the expansion runs; two
-    # arrays (or two lists) compare in one C-level pass
-    identity = _words(lseries.c_table(n_max).values)
-    expansion = _words(lseries.c_table_from_expansion(n_max).values)
+    # both tables hold 64-bit words (or lists, past 64 bits), which compare
+    # in one C-level pass
+    identity = lseries.c_table(n_max)
+    expansion = lseries.c_table_from_expansion(n_max)
     first_mismatch = None
     if identity != expansion:
         first_mismatch = next(
@@ -270,9 +259,15 @@ _CSV_RECORDS = {
 
 
 def _render_json(payload):
+    import io
     import json
 
-    return json.dumps(payload, indent=2) + "\n"
+    # json.dumps joins a list of every encoder chunk (one per number, key
+    # and indent); json.dump writes each chunk into the buffer as it comes
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def _render_csv(payload):

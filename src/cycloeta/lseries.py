@@ -11,7 +11,10 @@ route.  All arithmetic is in exact ints.
 """
 
 import math
+import sys
 from functools import lru_cache
+from itertools import repeat
+from operator import rshift, sub
 
 from . import etaprod
 from .arith import divisors, epsilon, factorize, primes_up_to, sieve_multiplicative
@@ -38,11 +41,41 @@ class IdentityViolation(ArithmeticError):
 _KINDS = ("A", "B", "C")
 
 
+# a(n) <= sigma_2(n) < zeta(2) n^2 < 1.65 n^2, |b(n)| <= d(n) n is smaller
+# still, and c = (a - b)/8, so every identity table fits in 64-bit words
+# while 1.65 n_max^2 < 2^63, up to about 2.36e9
+WORD_N_MAX = math.isqrt((2**63 - 1) * 100 // 165)
+
+
+def _check_word_range(n_max):
+    if n_max > WORD_N_MAX:
+        raise ValueError(
+            f"n-max {n_max} is past {WORD_N_MAX}, where the a, b and c "
+            "tables outgrow 64-bit words"
+        )
+
+
+def _words(values):
+    """values as an array('q') (8 bytes a value against about 40 in a list
+    of ints), or as a list when a value does not fit in 64 bits.  An
+    array('q') is kept, not copied: a copy raised positivity's 1e6 peak
+    from 54 to 65 MB."""
+    from array import array  # off the start-up path of commands with no table
+
+    if isinstance(values, array) and values.typecode == "q":
+        return values
+    try:
+        return array("q", values)
+    except OverflowError:
+        return list(values)
+
+
 class CoeffTable:
     """Coefficient table values[1..n_max]; values[0] is unused and 0.
 
     kind "A" and "B" tables are multiplicative with values[1] = 1;
-    kind "C" (the eta-quotient coefficients) has values[1] = 0.
+    kind "C" (the eta-quotient coefficients) has values[1] = 0.  values
+    is an array('q') when every value fits in 64 bits, else a list.
     """
 
     __slots__ = ("kind", "n_max", "values")
@@ -57,8 +90,7 @@ class CoeffTable:
             raise ValueError(f"kind {kind} requires values[1] == {want}")
         self.kind = kind
         self.n_max = n_max
-        # kept a copy: aliasing `values` raised positivity's 1e6 peak by ~7 MB
-        self.values = list(values)
+        self.values = _words(values)
 
     def __getitem__(self, n):
         if not 1 <= n <= self.n_max:
@@ -95,6 +127,7 @@ def a_coeff(n):
 
 
 def a_table(n_max):
+    _check_word_range(n_max)
     return CoeffTable("A", n_max, sieve_multiplicative(a_prime_power, n_max))
 
 
@@ -150,6 +183,7 @@ def b_table(n_max):
     """Sieved b table.  Its split traces come from one enumeration of
     x^2 + 7y^2 (quadfield.split_traces); each b(p^k) is still evaluated by
     b_prime_power."""
+    _check_word_range(n_max)
     traces = split_traces(n_max)
     values = sieve_multiplicative(lambda p, k: b_prime_power(p, k, traces), n_max)
     return CoeffTable("B", n_max, values)
@@ -216,12 +250,13 @@ def _local_expansion(p, n_max):
 def c_table(n_max, at=None):
     """Fourier coefficients of the quotient via the decomposition identity.
 
-    c is written over a's own value list, so no third table of big ints
-    is ever alive, and b is built before a, so b_table's split traces are
-    freed before both tables are.  Given an iterable `at` of indices,
-    returns (table, [a(n) for n in at], [b(n) for n in at]) instead, the
-    values read before c overwrites a; `at` is consumed only once both
-    tables exist."""
+    c is written over a's own value array, so no third table is ever
+    alive, and b is built before a, so b_table's split traces are freed
+    before both tables are.  An n_max past WORD_N_MAX is refused
+    (ValueError) before anything is allocated.  Given an iterable `at` of
+    indices, returns (table, [a(n) for n in at], [b(n) for n in at])
+    instead, the values read before c overwrites a; `at` is consumed only
+    once both tables exist."""
     bv = b_table(n_max).values
     av = a_table(n_max).values
     if at is not None:
@@ -234,14 +269,34 @@ def c_table(n_max, at=None):
     return c if at is None else (c, a_at, b_at)
 
 
+# the byte of a 64-bit word that holds its low bits
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
+_LOW_3_BITS = bytes(i & 7 for i in range(256))
+_CHUNK = 1 << 14
+
+
+def _low_3_bits(words):
+    """The low three bits of every word of an array('q'), one byte each."""
+    return memoryview(words).cast("B")[_LOW_BYTE::8].tobytes().translate(_LOW_3_BITS)
+
+
 def _eighths(av, bv):
-    """av[n] = (av[n] - bv[n]) / 8 in place, raising IdentityViolation
-    where 8 does not divide; each a(n) is read before it is replaced."""
-    for n, (a, b) in enumerate(zip(av, bv)):
-        d = a - b
-        if d % 8:
-            raise IdentityViolation(n, a, b)
-        av[n] = d // 8
+    """av[n] = (av[n] - bv[n]) / 8 in place for two array('q') tables,
+    raising IdentityViolation at the first n where 8 does not divide.
+
+    Words agree mod 8 exactly when their two's complement low three bits
+    do, so the check compares two byte strings; the exact quotients are
+    then written a chunk at a time, at C speed (array('q') parses a list
+    once a value, an iterator twice)."""
+    from array import array
+
+    low_a, low_b = _low_3_bits(av), _low_3_bits(bv)
+    if low_a != low_b:
+        n = next(n for n, (x, y) in enumerate(zip(low_a, low_b)) if x != y)
+        raise IdentityViolation(n, av[n], bv[n])
+    for i in range(0, len(av), _CHUNK):
+        j = i + _CHUNK
+        av[i:j] = array("q", list(map(rshift, map(sub, av[i:j], bv[i:j]), repeat(3))))
 
 
 def coeff_table_from_series(series, n_max):

@@ -201,12 +201,23 @@ def test_sieve_multiplicative_matches_factorized_product(values, n_max):
         calls[p, k] += 1
         return rule(p, k)
 
-    assert sieve_multiplicative(counted, n_max) == _sieve_oracle(rule, n_max)
+    assert sieve_multiplicative(counted, n_max).tolist() == _sieve_oracle(rule, n_max)
     powers = {
         (p, k) for p in primes_up_to(n_max) for k in range(1, 12) if p**k <= n_max
     }
     assert set(calls) == powers
     assert set(calls.values()) <= {1}
+
+
+def test_sieve_multiplicative_stores_64_bit_words():
+    table = sieve_multiplicative(lambda p, k: (-p) ** k, 100)
+    assert table.typecode == "q"
+    assert table[96] == (-2) ** 5 * -3 and table[97] == -97
+    # a value past 64 bits fails loudly instead of wrapping
+    with pytest.raises(OverflowError):
+        sieve_multiplicative(lambda p, k: 2**63 if p == 97 else 1, 97)
+    with pytest.raises(OverflowError):
+        sieve_multiplicative(lambda p, k: 2**32, 6)
 
 
 def test_sieve_multiplicative_rejects_empty_range():

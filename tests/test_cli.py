@@ -542,10 +542,53 @@ def test_verify_compares_values_that_overflow_words(capsys, monkeypatch):
     assert (payload["first_mismatch"], payload["identity_value"]) == (2, 1 << 70)
 
 
+@pytest.mark.parametrize("command", ["coeffs", "positivity", "verify"])
+def test_n_max_past_the_word_bound_is_usage_error(capsys, monkeypatch, command):
+    # refused before any table is allocated: nothing is built at this size
+    def refuse(*args):
+        raise AssertionError("a table build started past the word bound")
+
+    for name in ("sieve_multiplicative", "split_traces"):
+        monkeypatch.setattr(lseries, name, refuse)
+    monkeypatch.setattr(etaprod, "expand", refuse)
+    n_max = lseries.WORD_N_MAX + 1
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--n-max", str(n_max)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"cycloeta {command}: error: n-max {n_max} is past {lseries.WORD_N_MAX}, "
+        "where the a, b and c tables outgrow 64-bit words"
+    ]
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=8)
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.dictionaries(st.text(max_size=5), inner, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_render_json_matches_json_dumps(payload):
+    assert cli._render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
 def test_cli_import_leaves_json_and_csv_unloaded():
-    # json and csv load only in the renderers that need them, off every
-    # command's start-up path
-    probe = "import sys, cycloeta.cli; print(sorted({'json', 'csv'} & set(sys.modules)))"
+    # json and csv load only in the renderers that need them, and array
+    # only where a table is built, off every command's start-up path
+    probe = (
+        "import sys, cycloeta.cli; "
+        "print(sorted({'json', 'csv', 'array'} & set(sys.modules)))"
+    )
     proc = _run([sys.executable, "-c", probe])
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 

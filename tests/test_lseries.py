@@ -5,9 +5,13 @@ oracles (and by hand for the smallest cases) before the closed forms were
 written.
 """
 
-import pytest
+from array import array
 
-from cycloeta import lseries, quadfield
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cycloeta import arith, lseries, quadfield
 from cycloeta.arith import epsilon, primes_up_to
 from cycloeta.etaprod import cyclotomic_spec, expand
 from cycloeta.lseries import (
@@ -193,8 +197,8 @@ def test_identity_violation_from_perturbed_b(monkeypatch, p, k, n_max):
 def test_c_table_at_every_index_matches_separate_tables(n_max):
     c, a_at, b_at = c_table(n_max, at=range(1, n_max + 1))
     assert c == c_table(n_max)
-    assert [0] + a_at == a_table(n_max).values
-    assert [0] + b_at == b_table(n_max).values
+    assert [0] + a_at == a_table(n_max).values.tolist()
+    assert [0] + b_at == b_table(n_max).values.tolist()
 
 
 def test_coeff_table_validation():
@@ -232,3 +236,92 @@ def test_expansion_values_lead_degree_one():
         coeff_table_from_series(series, 10)
     with pytest.raises(ValueError):
         expansion_values(expand(cyclotomic_spec(4), 6), 5)
+
+
+# ---------------------------------------------------------------------------
+# 64-bit storage
+
+@given(st.integers(1, 3000))
+@example(1)
+@example(2)
+@example(2401)
+@example(3000)
+@settings(max_examples=40, deadline=None)
+def test_word_tables_match_the_oracles(n_max):
+    # the array sieve against the divisor-sum convolution, the truncated
+    # Euler product and the ideal enumeration
+    at, bt = a_table(n_max), b_table(n_max)
+    assert at == a_oracle_table(n_max)
+    assert bt == euler_truncate(n_max)
+    assert bt.values[1:].tolist() == [b_oracle(n) for n in range(1, n_max + 1)]
+
+
+def test_every_identity_table_holds_words():
+    expansion = coeff_table_from_series(expand(cyclotomic_spec(7), 100), 100)
+    for table in (a_table(100), b_table(100), c_table(100), a_oracle_table(100),
+                  euler_truncate(100), expansion, c_table_from_expansion(100)):
+        assert isinstance(table.values, array) and table.values.typecode == "q"
+    assert c_table(100) == expansion
+
+
+def test_coeff_table_keeps_a_list_past_64_bits():
+    big = CoeffTable("C", 3, [0, 0, -(1 << 63) - 1, 5])
+    assert type(big.values) is list
+    assert big[2] == -(1 << 63) - 1
+    edge = CoeffTable("C", 3, [0, 0, -(1 << 63), (1 << 63) - 1])
+    assert edge.values == array("q", [0, 0, -(1 << 63), (1 << 63) - 1])
+    # an array is kept as the table's storage, not copied
+    words = array("q", [0, 1, 5])
+    assert CoeffTable("A", 2, words).values is words
+
+
+@pytest.mark.parametrize("p,storage", [(401, array), (409, list)])
+def test_nondecomp_window_falls_back_to_a_list_past_64_bits(p, storage):
+    # the partition-like values of the level-p window pass 2^63 at p = 409
+    hi = (p * p - 1) // 24 + p - 1
+    series = expand(cyclotomic_spec(p), hi)
+    table = coeff_table_from_series(series, hi)
+    assert type(table.values) is storage
+    assert list(table.values) == expansion_values(series, hi)
+
+
+def test_word_bound_is_the_64_bit_limit_of_a():
+    w = lseries.WORD_N_MAX
+    # a(n) < 1.65 n^2 fits in a signed 64-bit word up to w and no further
+    assert 165 * w * w <= 100 * (2**63 - 1) < 165 * (w + 1) ** 2
+    lseries._check_word_range(w)
+
+
+def test_tables_past_the_word_bound_refuse_before_allocating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table build started past the word bound")
+
+    for module, name in ((lseries, "sieve_multiplicative"), (arith, "sieve_multiplicative"),
+                         (lseries, "split_traces"), (quadfield, "split_traces")):
+        monkeypatch.setattr(module, name, refuse)
+    n_max = lseries.WORD_N_MAX + 1
+    for build in (a_table, b_table, c_table):
+        with pytest.raises(ValueError, match="64-bit words"):
+            build(n_max)
+
+
+_WORD = st.integers(-(2**62), 2**62)
+
+
+@given(st.lists(st.tuples(_WORD, _WORD, st.booleans()), min_size=1, max_size=40_000))
+@example([(1, 1, True)] * 40_000 + [(3, 2, False)])
+@settings(max_examples=60, deadline=None)
+def test_eighths_matches_the_plain_loop(rows):
+    # pairs marked True are made congruent mod 8; the rest are left as drawn
+    av = array("q", (a for a, _, _ in rows))
+    bv = array("q", (b - (b - a) % 8 if same else b for a, b, same in rows))
+    bad = [n for n, (a, b) in enumerate(zip(av, bv)) if (a - b) % 8]
+    want = [(a - b) // 8 for a, b in zip(av, bv)]
+    if bad:
+        n = bad[0]
+        with pytest.raises(IdentityViolation) as info:
+            lseries._eighths(array("q", av), bv)
+        assert (info.value.n, info.value.a, info.value.b) == (n, av[n], bv[n])
+    else:
+        lseries._eighths(av, bv)
+        assert av.tolist() == want

@@ -4,11 +4,6 @@ verification routes for every computed quantity.
 """
 
 from .analysis import (
-    NondecompWitness,
-    PositivityReport,
-    ScanEntry,
-    UniquenessReport,
-    UniquenessWitness,
     check_positivity,
     conjecture_scan,
     nondecomp_witness,
@@ -56,15 +51,10 @@ __all__ = [
     "EtaQuotientSpec",
     "EulerFactor",
     "IdentityViolation",
-    "NondecompWitness",
     "PI_TWO",
-    "PositivityReport",
     "QSeries",
     "QuadInt",
-    "ScanEntry",
     "SplitRep",
-    "UniquenessReport",
-    "UniquenessWitness",
     "a_coeff",
     "a_oracle",
     "a_table",

@@ -3,15 +3,12 @@ uniqueness hypotheses for the decomposition, non-decomposability witnesses
 for prime levels, and the non-negativity scan over the cyclotomic family.
 
 Everything here is a mechanical check over exact integer data; each check
-returns a report object rather than a bare bool so callers can see what was
-actually verified.
+returns its report as a dict, keys in the order of the CLI payload, rather
+than a bare bool, so callers can see what was actually verified.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import combinations, compress, islice, repeat
 from operator import le
 
 from . import etaprod, lseries
@@ -21,28 +18,15 @@ from .arith import epsilon, is_prime, primes_up_to
 # ---------------------------------------------------------------------------
 # positivity
 
-@dataclass
-class CaseMargin:
-    """Exact prime-power comparison of a(p^k) against |b(p^k)|.  Not frozen:
-    positivity builds one per prime power (78,734 at 1e6), and a frozen
-    dataclass takes nearly twice as long to construct.
+def case_margin(p, k):
+    """Exact prime-power comparison of a(p^k) against |b(p^k)|, from the
+    closed forms of a and b: {"p", "k", "case", "a", "abs_b", "ok"}.
 
     `ok` asserts the full chain for the relevant splitting case:
     ramified  a = 7^(2k) > 7^k = |b|
     split     a > p^(2k) >= (k+1) p^k >= |b|
     inert     (a - |b|) (p^2+1) >= (p^(k+2)-1)(p^k-1) - 2 > 0
     """
-
-    p: int
-    k: int
-    case: str
-    a: int
-    abs_b: int
-    ok: bool
-
-
-def case_margin(p, k):
-    """The margin at p^k, from the closed forms of a and b."""
     return _margin(p, k, lseries.a_prime_power(p, k), lseries.b_prime_power(p, k))
 
 
@@ -62,7 +46,7 @@ def _margin(p, k, a, b):
         lower = (p ** (k + 2) - 1) * (p ** k - 1) - 2
         ok = (a - abs_b) * (p * p + 1) >= lower and lower > 0
         case = "inert"
-    return CaseMargin(p, k, case, a, abs_b, ok)
+    return {"p": p, "k": k, "case": case, "a": a, "abs_b": abs_b, "ok": ok}
 
 
 def _prime_powers(n_max):
@@ -75,21 +59,11 @@ def _prime_powers(n_max):
             k += 1
 
 
-@dataclass
-class PositivityReport:
-    n_max: int
-    failures: list[int]          # n >= 2 with c(n) <= 0
-    casewise: list[CaseMargin]   # every prime power <= n_max
-    inequality_failures: list[CaseMargin]
-
-    @property
-    def verified(self):
-        return not self.failures and not self.inequality_failures
-
-
 def check_positivity(n_max):
     """Verify c(n) > 0 for 2 <= n <= n_max directly, and the three case
-    inequalities at every prime power <= n_max.
+    inequalities at every prime power <= n_max.  `failures` lists the
+    n >= 2 with c(n) <= 0, `casewise` the margin at every prime power and
+    `inequality_failures` the margins that fail.
 
     The margins take a(p^k) and b(p^k) from the tables that c is built
     from, and c is freed before they are built."""
@@ -104,53 +78,33 @@ def check_positivity(n_max):
         _margin(p, k, a, b)
         for (p, k, _), a, b in zip(_prime_powers(n_max), a_at, b_at)
     ]
-    bad = [m for m in casewise if not m.ok]
-    return PositivityReport(n_max, failures, casewise, bad)
+    bad = [m for m in casewise if not m["ok"]]
+    return {"n_max": n_max, "verified": not failures and not bad, "failures": failures,
+            "inequality_failures": bad, "casewise": casewise}
 
 
 def extended_case_failures(p_bound=1000, k_max=20):
     """Case-inequality margins for all primes < p_bound and 1 <= k <= k_max,
     far beyond any table; returns the failing margins (expected none)."""
-    bad = []
-    for p in primes_up_to(p_bound - 1):
-        for k in range(1, k_max + 1):
-            m = case_margin(p, k)
-            if not m.ok:
-                bad.append(m)
-    return bad
+    margins = (
+        case_margin(p, k) for p in primes_up_to(p_bound - 1) for k in range(1, k_max + 1)
+    )
+    return [m for m in margins if not m["ok"]]
 
 
 # ---------------------------------------------------------------------------
 # uniqueness hypotheses
 
-@dataclass(frozen=True)
-class UniquenessWitness:
-    """Five pairwise-coprime indices with nonzero coefficients."""
-
-    indices: tuple
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.indices) != 5 or len(self.coeffs) != 5:
-            raise ValueError("witness needs exactly five indices")
-        if any(c == 0 for c in self.coeffs):
-            raise ValueError("witness coefficients must be nonzero")
-        idx = self.indices
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if math.gcd(idx[i], idx[j]) != 1:
-                    raise ValueError(f"indices {idx[i]}, {idx[j]} share a factor")
-
-
-@dataclass
-class UniquenessReport:
-    c1_zero: bool
-    witness: UniquenessWitness | None
-    searched_to: int
-
-    @property
-    def verified(self):
-        return self.c1_zero and self.witness is not None
+def check_witness(indices, coeffs):
+    """Raise ValueError unless these are five pairwise-coprime indices with
+    nonzero coefficients."""
+    if len(indices) != 5 or len(coeffs) != 5:
+        raise ValueError("witness needs exactly five indices")
+    if 0 in coeffs:
+        raise ValueError("witness coefficients must be nonzero")
+    for i, j in combinations(indices, 2):
+        if math.gcd(i, j) != 1:
+            raise ValueError(f"indices {i}, {j} share a factor")
 
 
 def uniqueness_hypotheses(values):
@@ -158,53 +112,38 @@ def uniqueness_hypotheses(values):
     pairwise-coprime indices with nonzero coefficient.
 
     `values` is a raw list [0, v(1), ..., v(n_max)].  Greedy ascending
-    makes the witness deterministic.  An exhausted search yields witness
-    None: the hypotheses are then unverified at this range, which is
-    weaker than a failure.
+    makes the witness deterministic.  An exhausted search leaves
+    witness_indices and witness_coeffs None: the hypotheses are then
+    unverified at this range, which is weaker than a failure.
     """
     n_max = len(values) - 1
     c1_zero = values[1] == 0
     chosen = []
     for n in range(2, n_max + 1):
-        if values[n] == 0:
-            continue
-        if all(math.gcd(n, m) == 1 for m in chosen):
+        if values[n] and all(math.gcd(n, m) == 1 for m in chosen):
             chosen.append(n)
             if len(chosen) == 5:
                 break
-    witness = None
-    if len(chosen) == 5:
-        witness = UniquenessWitness(
-            tuple(chosen), tuple(values[n] for n in chosen)
-        )
-    return UniquenessReport(c1_zero, witness, n_max)
+    found = len(chosen) == 5
+    coeffs = [values[n] for n in chosen]
+    if found:
+        check_witness(chosen, coeffs)
+    return {"c1_zero": c1_zero, "witness_indices": chosen if found else None,
+            "witness_coeffs": coeffs if found else None, "searched_to": n_max,
+            "verified": c1_zero and found}
 
 
 # ---------------------------------------------------------------------------
 # non-decomposability for prime levels p >= 11
 
-@dataclass
-class NondecompWitness:
-    """Window data showing no convolution-style splitting can exist.
+def nondecomp_witness(p):
+    """Build and validate the window data for prime p >= 11 showing no
+    convolution-style splitting can exist.
 
     bound = (p^2 - 1)/24 is the leading degree; the coefficients vanish
     below it and are nonzero on [bound, bound + p); m is the smallest odd
     index with 1 < m < bound and bound <= 2m < bound + p.
     """
-
-    p: int
-    bound: int
-    m: int | None
-    zero_range_ok: bool
-    nonzero_range_ok: bool
-
-    @property
-    def valid(self):
-        return self.m is not None and self.zero_range_ok and self.nonzero_range_ok
-
-
-def nondecomp_witness(p):
-    """Build and validate the witness for prime p >= 11."""
     if p < 11 or not is_prime(p):
         raise ValueError("the argument applies to primes p >= 11 only")
     bound = (p * p - 1) // 24
@@ -213,52 +152,30 @@ def nondecomp_witness(p):
     table = lseries.coeff_table_from_series(series, hi)
     zero_ok = all(table[n] == 0 for n in range(1, bound))
     nonzero_ok = all(table[n] != 0 for n in range(bound, hi + 1))
-    m = None
-    for cand in range(3, bound, 2):
-        if bound <= 2 * cand < bound + p:
-            m = cand
-            break
-    return NondecompWitness(p, bound, m, zero_ok, nonzero_ok)
+    m = next((m for m in range(3, bound, 2) if bound <= 2 * m < bound + p), None)
+    return {"p": p, "bound": bound, "m": m, "zero_range_ok": zero_ok,
+            "nonzero_range_ok": nonzero_ok, "valid": m is not None and zero_ok and nonzero_ok}
 
 
 # ---------------------------------------------------------------------------
 # non-negativity scan over the cyclotomic family
 
-@dataclass(frozen=True)
-class ScanEntry:
-    """Scan result for one h.  first_negative_num24 is the exponent (in
-    units of 1/24) of the first negative coefficient, None if the window
-    has none.  Absence of a negative within a finite window is evidence,
-    not proof, so truncation_limited is always True."""
-
-    h: int
-    checked_to: int
-    order24: int
-    exponent_integral: bool
-    first_negative_num24: int | None
-    truncation_limited: bool = True
-
-
 def conjecture_scan(h_max, n_max):
     """Expand the cyclotomic quotient for each h in 2..h_max through
-    q**n_max and record the first negative coefficient, if any."""
+    q**n_max and record the first negative coefficient, if any.
+
+    first_negative_num24 is its exponent in units of 1/24, None if the
+    window has none.  Absence of a negative within a finite window is
+    evidence, not proof, so truncation_limited is always True."""
     if h_max < 2:
         raise ValueError("h_max must be >= 2")
     out = []
     for h in range(2, h_max + 1):
         series = etaprod.expand(etaprod.cyclotomic_spec(h), n_max)
-        first = None
-        for i, coeff in enumerate(series.coeffs):
-            if coeff < 0:
-                first = series.order24 + 24 * i
-                break
-        out.append(
-            ScanEntry(
-                h=h,
-                checked_to=n_max,
-                order24=series.order24,
-                exponent_integral=series.order24 % 24 == 0,
-                first_negative_num24=first,
-            )
+        first = next(
+            (series.order24 + 24 * i for i, c in enumerate(series.coeffs) if c < 0), None
         )
+        out.append({"h": h, "checked_to": n_max, "order24": series.order24,
+                    "exponent_integral": series.order24 % 24 == 0,
+                    "first_negative_num24": first, "truncation_limited": True})
     return out

@@ -5,7 +5,8 @@ Formats: text (default), json, csv.  Output for a fixed command line is
 byte-identical across runs; reports carry no timestamps.
 
 Exit codes: 0 success / check verified, 1 a mathematical check failed,
-2 usage error.  uniqueness exits 1 both when c(1) != 0 and when the search
+2 usage error, 3 out of memory (one stderr line naming the n-max, or p for
+nondecomp).  uniqueness exits 1 both when c(1) != 0 and when the search
 ends without a witness ("hypotheses unverified"); the payload's c1_zero
 and witness_indices tell the two apart.  CYCLOETA_N_MAX sets the default
 truncation when --n-max is not given.
@@ -138,9 +139,8 @@ def _resolve_spec(args):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: _cmd_<command>(args) returns (payload, exit_code).  A
-# report dataclass becomes its JSON object through vars(): its fields are
-# declared in the payload's key order.
+# command handlers: _cmd_<command>(args) returns (payload, exit_code); an
+# analysis check's report dict is the payload's tail, keys in payload order
 
 def _expand_spec(args):
     """The series to n_max and the payload head shared by expand and uniqueness."""
@@ -201,45 +201,27 @@ def _cmd_verify(args):
 
 
 def _cmd_positivity(args):
-    report = analysis.check_positivity(_resolve_n_max(args))
-    payload = {
-        "command": "positivity",
-        "n_max": report.n_max,
-        "verified": report.verified,
-        "failures": report.failures,
-        "inequality_failures": list(map(vars, report.inequality_failures)),
-        "casewise": list(map(vars, report.casewise)),
-    }
-    return payload, 0 if report.verified else 1
+    payload = {"command": "positivity", **analysis.check_positivity(_resolve_n_max(args))}
+    return payload, 0 if payload["verified"] else 1
 
 
 def _cmd_nondecomp(args):
-    witness = analysis.nondecomp_witness(args.p)
-    payload = {"command": "nondecomp", **vars(witness), "valid": witness.valid}
-    return payload, 0 if witness.valid else 1
+    payload = {"command": "nondecomp", **analysis.nondecomp_witness(args.p)}
+    return payload, 0 if payload["valid"] else 1
 
 
 def _cmd_uniqueness(args):
     series, _, payload = _expand_spec(args)
-    report = analysis.uniqueness_hypotheses(
-        lseries.expansion_values(series, payload["n_max"])
-    )
-    witness = report.witness
-    payload.update(
-        c1_zero=report.c1_zero,
-        witness_indices=list(witness.indices) if witness else None,
-        witness_coeffs=list(witness.coeffs) if witness else None,
-        searched_to=report.searched_to,
-        verified=report.verified,
-    )
-    return payload, 0 if report.verified else 1
+    values = lseries.expansion_values(series, payload["n_max"])
+    payload.update(analysis.uniqueness_hypotheses(values))
+    return payload, 0 if payload["verified"] else 1
 
 
 def _cmd_scan(args):
     if args.h_max < 2:
         raise ValueError("--h-max must be >= 2")
     n_max = _resolve_n_max(args)
-    entries = list(map(vars, analysis.conjecture_scan(args.h_max, n_max)))
+    entries = analysis.conjecture_scan(args.h_max, n_max)
     return {"command": "scan", "h_max": args.h_max, "n_max": n_max, "entries": entries}, 0
 
 
@@ -387,13 +369,18 @@ def run(argv=None):
     # handlers and renderers are looked up at call time, so a wrapper bound
     # over the module global after import is the one that runs
     try:
-        payload, code = globals()["_cmd_" + args.command](args)
-    except ValueError as exc:
-        args.command_parser.error(str(exc))
-    except _CHECK_FAILURES as exc:
-        print(f"mathematical check failed: {exc}", file=sys.stderr)
-        return 1
-    text = globals()["_render_" + args.format](payload)
+        try:
+            payload, code = globals()["_cmd_" + args.command](args)
+        except ValueError as exc:
+            args.command_parser.error(str(exc))
+        except _CHECK_FAILURES as exc:
+            print(f"mathematical check failed: {exc}", file=sys.stderr)
+            return 1
+        text = globals()["_render_" + args.format](payload)
+    except MemoryError:
+        size = f"p {args.p}" if args.command == "nondecomp" else f"n-max {_resolve_n_max(args)}"
+        print(f"cycloeta {args.command}: error: out of memory ({size})", file=sys.stderr)
+        return 3
 
     if args.output:
         try:

@@ -309,8 +309,9 @@ def coeff_table_from_series(series, n_max):
 
 
 def c_table_from_expansion(n_max):
-    """The independent pipeline: expand the eta quotient itself."""
-    series = etaprod.expand(etaprod.cyclotomic_spec(7), n_max)
+    """The independent pipeline: expand the eta quotient itself, through at
+    least its leading term q^2, so that n_max = 1 reads c(1) = 0."""
+    series = etaprod.expand(etaprod.cyclotomic_spec(7), max(n_max, 2))
     return coeff_table_from_series(series, n_max)
 
 

@@ -78,9 +78,9 @@ def test_criterion_3_oracle_equivalence(identity_pipeline):
 
 def test_criterion_4_positivity():
     report = analysis.check_positivity(N_IDENTITY)
-    assert report.verified, (report.failures[:5], report.inequality_failures[:5])
-    assert report.failures == []
-    assert all(m.ok for m in report.casewise)
+    assert report["verified"], (report["failures"][:5], report["inequality_failures"][:5])
+    assert report["failures"] == []
+    assert all(m["ok"] for m in report["casewise"])
     # beyond any table: every prime under 1000 at exponents up to 20
     assert analysis.extended_case_failures(1000, 20) == []
 
@@ -89,9 +89,9 @@ def test_criterion_5_uniqueness_witness(identity_pipeline):
     table, _ = identity_pipeline
     first = analysis.uniqueness_hypotheses(table.values)
     second = analysis.uniqueness_hypotheses(table.values)
-    assert first.verified
-    assert first.witness.indices == (2, 3, 5, 7, 11)
-    assert first.witness.coeffs == (1, 1, 3, 7, 16)
+    assert first["verified"]
+    assert first["witness_indices"] == [2, 3, 5, 7, 11]
+    assert first["witness_coeffs"] == [1, 1, 3, 7, 16]
     assert first == second  # greedy search is deterministic
 
 
@@ -101,10 +101,10 @@ def test_criterion_6_nondecomposability():
         if p < 11:
             continue
         w = analysis.nondecomp_witness(p)
-        assert w.valid, f"witness invalid at p={p}: {w}"
-        assert w.bound == (p * p - 1) // 24
-        assert w.m is not None and w.m % 2 == 1 and 1 < w.m < w.bound
-        assert w.bound <= 2 * w.m < w.bound + p
+        assert w["valid"], f"witness invalid at p={p}: {w}"
+        assert w["bound"] == (p * p - 1) // 24
+        assert w["m"] is not None and w["m"] % 2 == 1 and 1 < w["m"] < w["bound"]
+        assert w["bound"] <= 2 * w["m"] < w["bound"] + p
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"witness sweep took {elapsed:.1f}s"
 
@@ -126,10 +126,10 @@ def test_criterion_7_structural_properties():
 
     # no negative coefficients in the small family, deep window
     for entry in analysis.conjecture_scan(7, 2000):
-        assert entry.first_negative_num24 is None, entry
+        assert entry["first_negative_num24"] is None, entry
 
     # larger h: recorded as truncation-limited evidence, shallower window
     evidence = analysis.conjecture_scan(24, 500)
-    assert [e.h for e in evidence] == list(range(2, 25))
-    assert all(e.truncation_limited for e in evidence)
-    assert all(e.first_negative_num24 is None for e in evidence)
+    assert [e["h"] for e in evidence] == list(range(2, 25))
+    assert all(e["truncation_limited"] for e in evidence)
+    assert all(e["first_negative_num24"] is None for e in evidence)

@@ -1,14 +1,17 @@
 """Report-producing checks: positivity, uniqueness witness, non-decomposability,
 family scan."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloeta import lseries
 from cycloeta.analysis import (
-    CaseMargin,
-    UniquenessWitness,
     case_margin,
     check_positivity,
+    check_witness,
     conjecture_scan,
     extended_case_failures,
     nondecomp_witness,
@@ -19,11 +22,15 @@ from cycloeta.etaprod import cyclotomic_spec, expand
 from cycloeta.lseries import c_table, expansion_values
 
 
+def margin(p, k, case, a, abs_b, ok):
+    return {"p": p, "k": k, "case": case, "a": a, "abs_b": abs_b, "ok": ok}
+
+
 def test_case_margin_frozen():
-    assert case_margin(7, 1) == CaseMargin(7, 1, "ramified", 49, 7, True)
-    assert case_margin(2, 2) == CaseMargin(2, 2, "split", 21, 5, True)
+    assert case_margin(7, 1) == margin(7, 1, "ramified", 49, 7, True)
+    assert case_margin(2, 2) == margin(2, 2, "split", 21, 5, True)
     # the tight inert corner: (73 - 9) * 10 = 640 against 80 * 8 - 2 = 638
-    assert case_margin(3, 2) == CaseMargin(3, 2, "inert", 73, 9, True)
+    assert case_margin(3, 2) == margin(3, 2, "inert", 73, 9, True)
 
 
 def test_case_margin_holds_extended():
@@ -32,13 +39,13 @@ def test_case_margin_holds_extended():
 
 def test_check_positivity_small():
     report = check_positivity(500)
-    assert report.verified
-    assert report.failures == []
-    assert report.inequality_failures == []
-    assert all(m.ok for m in report.casewise)
-    assert {m.case for m in report.casewise} == {"ramified", "split", "inert"}
+    assert report["verified"]
+    assert report["failures"] == []
+    assert report["inequality_failures"] == []
+    assert all(m["ok"] for m in report["casewise"])
+    assert {m["case"] for m in report["casewise"]} == {"ramified", "split", "inert"}
     # one margin per prime power in range
-    assert sum(1 for m in report.casewise if m.p == 2) == 8
+    assert sum(1 for m in report["casewise"] if m["p"] == 2) == 8
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 7, 49, 5000])
@@ -50,8 +57,8 @@ def test_check_positivity_margins_from_tables_match_closed_forms(n_max):
         if p**k <= n_max
     ]
     report = check_positivity(n_max)
-    assert report.casewise == closed
-    assert report.verified
+    assert report["casewise"] == closed
+    assert report["verified"]
 
 
 def test_check_positivity_flags_injected_failure(monkeypatch):
@@ -65,56 +72,83 @@ def test_check_positivity_flags_injected_failure(monkeypatch):
 
     monkeypatch.setattr(lseries, "c_table", tampered)
     report = check_positivity(10)
-    assert report.failures == [5, 7]
-    assert not report.verified
+    assert report["failures"] == [5, 7]
+    assert not report["verified"]
 
 
 def test_uniqueness_witness_validation():
-    UniquenessWitness((2, 3, 5, 7, 11), (1, 1, 3, 7, 16))
+    check_witness([2, 3, 5, 7, 11], [1, 1, 3, 7, 16])
     with pytest.raises(ValueError):
-        UniquenessWitness((2, 3, 5, 7), (1, 1, 3, 7))
+        check_witness([2, 3, 5, 7], [1, 1, 3, 7])
     with pytest.raises(ValueError):
-        UniquenessWitness((2, 3, 5, 7, 11), (1, 0, 3, 7, 16))
+        check_witness([2, 3, 5, 7, 11], [1, 0, 3, 7, 16])
     with pytest.raises(ValueError):
-        UniquenessWitness((2, 3, 5, 7, 14), (1, 1, 3, 7, 28))
+        check_witness([2, 3, 5, 7, 14], [1, 1, 3, 7, 28])
 
 
 def test_uniqueness_hypotheses_canonical_witness():
     report = uniqueness_hypotheses(c_table(300).values)
-    assert report.verified
-    assert report.c1_zero
-    assert report.witness.indices == (2, 3, 5, 7, 11)
-    assert report.witness.coeffs == (1, 1, 3, 7, 16)
-    assert report.searched_to == 300
+    assert report["verified"]
+    assert report["c1_zero"]
+    assert report["witness_indices"] == [2, 3, 5, 7, 11]
+    assert report["witness_coeffs"] == [1, 1, 3, 7, 16]
+    assert report["searched_to"] == 300
 
 
 def test_uniqueness_hypotheses_exhausted_search():
     report = uniqueness_hypotheses(c_table(300).values[:11])
-    assert report.witness is None
-    assert report.c1_zero
-    assert not report.verified
-    assert report.searched_to == 10
+    assert report["witness_indices"] is None
+    assert report["witness_coeffs"] is None
+    assert report["c1_zero"]
+    assert not report["verified"]
+    assert report["searched_to"] == 10
 
 
 def test_uniqueness_hypotheses_raw_list():
     # h = 5 expansion starts at q^1, so the first hypothesis fails
     values = expansion_values(expand(cyclotomic_spec(5), 200), 200)
     report = uniqueness_hypotheses(values)
-    assert not report.c1_zero
-    assert not report.verified
-    assert report.witness is not None
+    assert not report["c1_zero"]
+    assert not report["verified"]
+    assert report["witness_indices"] is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((0, 0, 0, 1, -1, 7)), min_size=2, max_size=40))
+def test_uniqueness_hypotheses_random_values(values):
+    # mostly zeros, so short or sparse lists exhaust the search
+    report = uniqueness_hypotheses(values)
+    indices, coeffs = report["witness_indices"], report["witness_coeffs"]
+    assert report["searched_to"] == len(values) - 1
+    assert report["c1_zero"] == (values[1] == 0)
+    assert report["verified"] == (report["c1_zero"] and indices is not None)
+    if indices is None:
+        assert coeffs is None
+        # a nonzero prime shares no factor with a smaller index, so the
+        # greedy search picks every one it reaches: fewer than five exist
+        assert sum(1 for p in primes_up_to(len(values) - 1) if values[p]) < 5
+        return
+    assert indices == sorted(indices) and len(set(indices)) == 5
+    assert 2 <= indices[0] and indices[-1] <= report["searched_to"]
+    assert all(math.gcd(m, n) == 1 for i, m in enumerate(indices) for n in indices[i + 1:])
+    assert coeffs == [values[n] for n in indices] and 0 not in coeffs
+    # greedy: every skipped nonzero index below the last shares a factor
+    # with an earlier pick
+    for n in range(2, indices[-1]):
+        if values[n] and n not in indices:
+            assert any(math.gcd(n, m) > 1 for m in indices if m < n), n
 
 
 def test_nondecomp_witness_frozen():
     w11 = nondecomp_witness(11)
-    assert (w11.bound, w11.m) == (5, 3)
-    assert w11.valid
+    assert (w11["bound"], w11["m"]) == (5, 3)
+    assert w11["valid"]
     w13 = nondecomp_witness(13)
-    assert (w13.bound, w13.m) == (7, 5)
-    assert w13.valid
+    assert (w13["bound"], w13["m"]) == (7, 5)
+    assert w13["valid"]
     w17 = nondecomp_witness(17)
-    assert (w17.bound, w17.m) == (12, 7)
-    assert w17.valid
+    assert (w17["bound"], w17["m"]) == (12, 7)
+    assert w17["valid"]
 
 
 def test_nondecomp_witness_rejects_bad_p():
@@ -126,11 +160,11 @@ def test_nondecomp_witness_rejects_bad_p():
 
 def test_conjecture_scan_small():
     entries = conjecture_scan(7, 300)
-    assert [e.h for e in entries] == [2, 3, 4, 5, 6, 7]
-    assert all(e.first_negative_num24 is None for e in entries)
-    assert all(e.truncation_limited for e in entries)
-    assert [e.order24 for e in entries] == [3, 8, 9, 24, 10, 48]
-    assert [e.exponent_integral for e in entries] == [
+    assert [e["h"] for e in entries] == [2, 3, 4, 5, 6, 7]
+    assert all(e["first_negative_num24"] is None for e in entries)
+    assert all(e["truncation_limited"] for e in entries)
+    assert [e["order24"] for e in entries] == [3, 8, 9, 24, 10, 48]
+    assert [e["exponent_integral"] for e in entries] == [
         False, False, False, True, False, True,
     ]
     with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Command line behavior: formats, exit codes, determinism, env override."""
 
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -98,6 +97,12 @@ def test_verify_text(capsys):
     assert out == "identity c=(a-b)/8 holds on [1,50]\n"
 
 
+def test_verify_at_n_max_one(capsys):
+    # the expansion runs through its leading term q^2, so it reads c(1) = 0
+    code, out, _ = capture(capsys, ["verify", "--n-max", "1"])
+    assert (code, out) == (0, "identity c=(a-b)/8 holds on [1,1]\n")
+
+
 def test_byte_identical_reruns(capsys):
     for argv in (
         ["coeffs", "--n-max", "40", "--format", "json"],
@@ -114,12 +119,12 @@ def test_positivity_json_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     report = analysis.check_positivity(200)
-    assert {f.name for f in dataclasses.fields(report)} <= payload.keys()
-    assert payload["n_max"] == report.n_max == 200
-    assert payload["failures"] == report.failures
-    assert payload["casewise"] == [vars(m) for m in report.casewise]
-    assert payload["inequality_failures"] == [vars(m) for m in report.inequality_failures]
-    assert payload["verified"] is report.verified is True
+    assert report.keys() <= payload.keys()
+    assert payload["n_max"] == report["n_max"] == 200
+    assert payload["failures"] == report["failures"]
+    assert payload["casewise"] == report["casewise"]
+    assert payload["inequality_failures"] == report["inequality_failures"]
+    assert payload["verified"] is report["verified"] is True
 
 
 def test_nondecomp_json_roundtrip(capsys):
@@ -127,8 +132,8 @@ def test_nondecomp_json_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     witness = analysis.nondecomp_witness(13)
-    assert {name: payload[name] for name in vars(witness)} == vars(witness)
-    assert payload["valid"] is witness.valid is True
+    assert {name: payload[name] for name in witness} == witness
+    assert payload["valid"] is witness["valid"] is True
 
 
 def test_uniqueness_json_roundtrip(capsys):
@@ -136,19 +141,18 @@ def test_uniqueness_json_roundtrip(capsys):
     assert code == 0
     payload = json.loads(out)
     report = analysis.uniqueness_hypotheses(lseries.c_table(300).values)
-    assert payload["c1_zero"] is report.c1_zero is True
-    assert payload["searched_to"] == report.searched_to == 300
-    # the witness enters the payload as its two tuples
-    assert payload["witness_indices"] == list(report.witness.indices) == [2, 3, 5, 7, 11]
-    assert payload["witness_coeffs"] == list(report.witness.coeffs) == [1, 1, 3, 7, 16]
-    assert payload["verified"] is report.verified is True
+    assert payload["c1_zero"] is report["c1_zero"] is True
+    assert payload["searched_to"] == report["searched_to"] == 300
+    assert payload["witness_indices"] == report["witness_indices"] == [2, 3, 5, 7, 11]
+    assert payload["witness_coeffs"] == report["witness_coeffs"] == [1, 1, 3, 7, 16]
+    assert payload["verified"] is report["verified"] is True
 
 
 def test_scan_json_roundtrip(capsys):
     code, out, _ = capture(capsys, ["scan", "--h-max", "6", "--n-max", "80", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["entries"] == [vars(e) for e in analysis.conjecture_scan(6, 80)]
+    assert payload["entries"] == analysis.conjecture_scan(6, 80)
 
 
 def test_uniqueness_failing_spec_exits_one(capsys):
@@ -317,8 +321,10 @@ def test_positivity_failure_renderings(capsys, monkeypatch, fmt):
 
     def failing(n_max):
         report = honest(n_max)
-        bad = dataclasses.replace(report.casewise[2], ok=False)  # 3^1
-        return analysis.PositivityReport(n_max, [3], report.casewise[:2] + [bad], [bad])
+        bad = {**report["casewise"][2], "ok": False}  # 3^1
+        casewise = report["casewise"][:2] + [bad]
+        return {**report, "verified": False, "failures": [3],
+                "inequality_failures": [bad], "casewise": casewise}
 
     monkeypatch.setattr(analysis, "check_positivity", failing)
     code, out, _ = capture(capsys, ["positivity", "--n-max", "4", "--format", fmt])
@@ -344,10 +350,27 @@ def test_nondecomp_failure_renderings(capsys, monkeypatch, fmt):
     monkeypatch.setattr(
         analysis,
         "nondecomp_witness",
-        lambda p: dataclasses.replace(honest(p), zero_range_ok=False),
+        lambda p: {**honest(p), "zero_range_ok": False, "valid": False},
     )
     code, out, _ = capture(capsys, ["nondecomp", "--p", "13", "--format", fmt])
     assert (code, out) == (1, NONDECOMP_FAILS[fmt])
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, module, stage, size", [
+    (["verify", "--n-max", "100"], lseries, "c_table", "n-max 100"),
+    (["expand", "--h", "5", "--format", "json"], cli, "_render_json", "n-max 50"),
+    (["nondecomp", "--p", "13"], etaprod, "expand", "p 13"),
+])
+def test_out_of_memory_exits_three(capsys, monkeypatch, argv, module, stage, size):
+    # one stage raises as an allocation would; nothing is allocated at size
+    monkeypatch.setattr(module, stage, _exhausted)
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"cycloeta {argv[0]}: error: out of memory ({size})\n"
 
 
 def test_programming_errors_are_not_check_failures(capsys, monkeypatch):
@@ -632,6 +655,28 @@ def test_perfbench_spans_wrap_the_identity_side():
         "assert all(tracer.calls[name] for name in names), tracer.calls\n"
         "assert tracer.counts['lseries.prime_power_evals'] > 0, tracer.counts\n"
         "assert tracer.calls['quadfield.split_trace'] == 0, tracer.calls\n"
+    )
+    proc = _run([sys.executable, "-c", script], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_spans_wrap_the_family_side_analysis():
+    # the family workload's scan, nondecomp and uniqueness spans wrap the
+    # analysis checks by name; a rename must not silently drop them
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        "from cycloeta import cli\n"
+        "codes = [cli.run(argv) for argv in (['scan', '--h-max', '5', '--n-max', '100'],\n"
+        "                                    ['nondecomp', '--p', '13'],\n"
+        "                                    ['uniqueness', '--n-max', '100'])]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "names = ('analysis.scan', 'analysis.nondecomp', 'analysis.uniqueness')\n"
+        "assert all(tracer.calls[name] for name in names), tracer.calls\n"
     )
     proc = _run([sys.executable, "-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -171,10 +171,11 @@ def conjecture_scan(h_max, n_max):
         raise ValueError("h_max must be >= 2")
     out = []
     for h in range(2, h_max + 1):
-        series = etaprod.expand(etaprod.cyclotomic_spec(h), n_max)
-        first = next(
-            (series.order24 + 24 * i for i, c in enumerate(series.coeffs) if c < 0), None
-        )
+        spec = etaprod.cyclotomic_spec(h)
+        # expanded through the leading term at least, read only up to n_max
+        series = etaprod.expand(spec, max(n_max, spec.leading_degree()))
+        exponents = range(series.order24, 24 * n_max + 1, 24)
+        first = next((e for e, c in zip(exponents, series.coeffs) if c < 0), None)
         out.append({"h": h, "checked_to": n_max, "order24": series.order24,
                     "exponent_integral": series.order24 % 24 == 0,
                     "first_negative_num24": first, "truncation_limited": True})

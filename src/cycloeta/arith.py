@@ -1,5 +1,6 @@
 """Elementary number theory helpers: primes, factorization, the quadratic
-character mod 7, and a slice-filled sieve for multiplicative functions.
+character mod 7, and a slice-filled sieve for multiplicative functions;
+also the package's check-failure base and immutable record base.
 
 Everything here works on plain Python ints, so all arithmetic is exact and
 never overflows; the sieve stores its table as 64-bit words and raises
@@ -13,6 +14,46 @@ from operator import floordiv, getitem, mul
 # Quadratic residues mod 7 are {1, 2, 4}.  eps is the completely
 # multiplicative character with eps(7) = 0.
 _EPS_BY_RESIDUE = (0, 1, 1, -1, 1, -1, -1)
+
+
+class CheckFailure(ArithmeticError):
+    """A mathematical check of the package failed: the base of its own
+    check failures, which the CLI reports with exit 1."""
+
+
+class Record:
+    """Immutable record of the fields named in a subclass's __slots__, with
+    equality, hash and repr by those fields in order, as a frozen dataclass
+    gives them without loading dataclasses."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
 def epsilon(n):

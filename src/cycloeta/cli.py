@@ -18,19 +18,15 @@ import sys
 from itertools import islice
 from operator import itemgetter
 
-from . import analysis, etaprod, lseries, reference
-from .qseries import InexactDivisionError
-from .quadfield import InconsistencyError, SplittingError
+# the parser needs etaprod.CORPUS; every other cycloeta module is imported
+# by the handler that runs it, so a launch loads only what its command runs
+from . import etaprod
+from .arith import CheckFailure
 
 ENV_N_MAX = "CYCLOETA_N_MAX"
 
 _DEFAULT_N_MAX = {"expand": 50, "coeffs": 50, "verify": 2000, "positivity": 2000,
                   "uniqueness": 300, "scan": 500}
-
-# the package's own check failures (exit 1); any other exception is a bug
-_CHECK_FAILURES = (
-    lseries.IdentityViolation, InconsistencyError, SplittingError, InexactDivisionError
-)
 
 
 def _parse_spec_string(text):
@@ -142,17 +138,17 @@ def _resolve_spec(args):
 # command handlers: _cmd_<command>(args) returns (payload, exit_code); an
 # analysis check's report dict is the payload's tail, keys in payload order
 
-def _expand_spec(args):
-    """The series to n_max and the payload head shared by expand and uniqueness."""
+def _spec_head(args):
+    """The spec and the payload head shared by expand and uniqueness."""
     spec, h = _resolve_spec(args)
     n_max = _resolve_n_max(args)
     terms = [list(t) for t in spec.terms]
-    head = {"command": args.command, "spec_terms": terms, "h": h, "n_max": n_max}
-    return etaprod.expand(spec, n_max), spec, head
+    return spec, {"command": args.command, "spec_terms": terms, "h": h, "n_max": n_max}
 
 
 def _cmd_expand(args):
-    series, spec, payload = _expand_spec(args)
+    spec, payload = _spec_head(args)
+    series = etaprod.expand(spec, payload["n_max"])
     integral = series.order24 % 24 == 0
     first, step = (series.order24 // 24, 1) if integral else (series.order24, 24)
     rows = [[first + step * i, c] for i, c in enumerate(series.coeffs)]
@@ -164,6 +160,8 @@ def _cmd_expand(args):
         rows=rows,
     )
     if payload["h"] == 7:
+        from . import reference
+
         # the table is merged under the rows, so an uncovered n is no discrepancy
         computed = {**reference.TABULATED_C50, **dict(rows)}
         payload["known_discrepancies"] = reference.tabulation_discrepancies(computed)
@@ -171,6 +169,8 @@ def _cmd_expand(args):
 
 
 def _cmd_coeffs(args):
+    from . import lseries
+
     n_max = _resolve_n_max(args)
     c, av, bv = lseries.c_table(n_max, at=range(1, n_max + 1))
     rows = list(map(list, zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None))))
@@ -178,6 +178,8 @@ def _cmd_coeffs(args):
 
 
 def _cmd_verify(args):
+    from . import lseries
+
     n_max = _resolve_n_max(args)
     # both tables hold 64-bit words (or lists, past 64 bits), which compare
     # in one C-level pass
@@ -201,23 +203,34 @@ def _cmd_verify(args):
 
 
 def _cmd_positivity(args):
+    from . import analysis
+
     payload = {"command": "positivity", **analysis.check_positivity(_resolve_n_max(args))}
     return payload, 0 if payload["verified"] else 1
 
 
 def _cmd_nondecomp(args):
+    from . import analysis
+
     payload = {"command": "nondecomp", **analysis.nondecomp_witness(args.p)}
     return payload, 0 if payload["valid"] else 1
 
 
 def _cmd_uniqueness(args):
-    series, _, payload = _expand_spec(args)
-    values = lseries.expansion_values(series, payload["n_max"])
+    from . import analysis, lseries
+
+    spec, payload = _spec_head(args)
+    n_max = payload["n_max"]
+    # expanded through the leading term at least, read only up to n_max
+    series = etaprod.expand(spec, max(n_max, spec.leading_degree()))
+    values = lseries.expansion_values(series, n_max)
     payload.update(analysis.uniqueness_hypotheses(values))
     return payload, 0 if payload["verified"] else 1
 
 
 def _cmd_scan(args):
+    from . import analysis
+
     if args.h_max < 2:
         raise ValueError("--h-max must be >= 2")
     n_max = _resolve_n_max(args)
@@ -373,7 +386,7 @@ def run(argv=None):
             payload, code = globals()["_cmd_" + args.command](args)
         except ValueError as exc:
             args.command_parser.error(str(exc))
-        except _CHECK_FAILURES as exc:
+        except CheckFailure as exc:  # any other exception is a bug
             print(f"mathematical check failed: {exc}", file=sys.stderr)
             return 1
         text = globals()["_render_" + args.format](payload)

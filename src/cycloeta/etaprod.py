@@ -8,11 +8,8 @@ checked by `cyclotomic_check`.  For prime h this collapses to
 eta(h*tau)^h / eta(tau).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from . import qseries
-from .arith import divisors, moebius, totient
+from .arith import Record, divisors, moebius, totient
 from .qseries import (
     QSeries,
     _dense,
@@ -25,15 +22,14 @@ from .qseries import (
 )
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(Record):
     """Exponent map of an eta quotient: ((scale, exponent), ...), scales
     distinct and positive, exponents nonzero, sorted by scale."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple(sorted((int(s), int(e)) for s, e in self.terms))
+    def __init__(self, terms):
+        terms = tuple(sorted((int(s), int(e)) for s, e in terms))
         scales = [s for s, _ in terms]
         if any(s < 1 for s in scales):
             raise ValueError("scales must be positive")
@@ -41,13 +37,19 @@ class EtaQuotientSpec:
             raise ValueError("scales must be distinct")
         if any(e == 0 for _, e in terms):
             raise ValueError("exponents must be nonzero")
-        object.__setattr__(self, "terms", terms)
+        super().__init__(terms)
 
     def order24(self):
         """Leading exponent of the q-expansion, in units of 1/24."""
         return sum(s * e for s, e in self.terms)
 
+    def leading_degree(self):
+        """The least n_max that `expand` accepts: order24/24 rounded up."""
+        return -(-self.order24() // 24)
+
     def weight(self):
+        from fractions import Fraction  # off the start-up path of every command
+
         return Fraction(sum(e for _, e in self.terms), 2)
 
     def __str__(self):

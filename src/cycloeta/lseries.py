@@ -17,7 +17,14 @@ from itertools import repeat
 from operator import rshift, sub
 
 from . import etaprod
-from .arith import divisors, epsilon, factorize, primes_up_to, sieve_multiplicative
+from .arith import (
+    CheckFailure,
+    divisors,
+    epsilon,
+    factorize,
+    primes_up_to,
+    sieve_multiplicative,
+)
 from .quadfield import (
     InconsistencyError,
     hecke_weight,
@@ -28,7 +35,7 @@ from .quadfield import (
 )
 
 
-class IdentityViolation(ArithmeticError):
+class IdentityViolation(CheckFailure):
     """8 does not divide a(n) - b(n): the decomposition identity failed."""
 
     def __init__(self, n, a, b):

@@ -15,8 +15,10 @@ import struct
 import sys
 from operator import itemgetter, mul
 
+from .arith import CheckFailure
 
-class InexactDivisionError(ArithmeticError):
+
+class InexactDivisionError(CheckFailure):
     """Raised when a division that is exact for integer input leaves a remainder."""
 
 

@@ -8,28 +8,26 @@ PI_TWO = (1 + sqrt(-7))/2.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
-from .arith import epsilon, is_prime, prime_flags
+from .arith import CheckFailure, Record, epsilon, is_prime, prime_flags
 
 
-class SplittingError(ArithmeticError):
+class SplittingError(CheckFailure):
     """Splitting data requested for a prime that does not split."""
 
 
-class InconsistencyError(ArithmeticError):
+class InconsistencyError(CheckFailure):
     """An internal invariant of the splitting data failed."""
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    u: int
-    v: int
+class QuadInt(Record):
+    __slots__ = ("u", "v")
 
-    def __post_init__(self):
-        if (self.u - self.v) % 2 != 0:
-            raise ValueError(f"({self.u} + {self.v}*sqrt(-7))/2 is not integral")
+    def __init__(self, u, v):
+        if (u - v) % 2 != 0:
+            raise ValueError(f"({u} + {v}*sqrt(-7))/2 is not integral")
+        super().__init__(u, v)
 
     @classmethod
     def from_int(cls, a):
@@ -78,13 +76,10 @@ class QuadInt:
 PI_TWO = QuadInt(1, 1)
 
 
-@dataclass(frozen=True)
-class SplitRep:
+class SplitRep(Record):
     """The unique x, y > 0 with p = x^2 + 7*y^2 for an odd split prime p."""
 
-    p: int
-    x: int
-    y: int
+    __slots__ = ("p", "x", "y")
 
 
 def split_rep(p):
@@ -183,14 +178,11 @@ def ideals_of_norm(n):
     return out
 
 
-@dataclass(frozen=True)
-class EulerFactor:
+class EulerFactor(Record):
     """Local factor 1 + c1*X + c2*X^2 of the shifted Hecke series at a
     split prime."""
 
-    p: int
-    c1: int
-    c2: int
+    __slots__ = ("p", "c1", "c2")
 
 
 def split_trace(p):

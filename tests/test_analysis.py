@@ -169,3 +169,15 @@ def test_conjecture_scan_small():
     ]
     with pytest.raises(ValueError):
         conjecture_scan(1, 50)
+
+
+def test_conjecture_scan_below_the_leading_term():
+    # h = 7 leads at q^2, h = 11 at q^5: a window to n_max = 1 or 4 holds
+    # no coefficient of theirs, so no negative one
+    for n_max in (1, 4):
+        entries = conjecture_scan(12, n_max)
+        assert [e["order24"] for e in entries] == [
+            cyclotomic_spec(h).order24() for h in range(2, 13)
+        ]
+        assert all(e["first_negative_num24"] is None for e in entries)
+        assert all(e["checked_to"] == n_max for e in entries)

@@ -155,6 +155,33 @@ def test_scan_json_roundtrip(capsys):
     assert payload["entries"] == analysis.conjecture_scan(6, 80)
 
 
+def test_windows_below_the_leading_term(capsys):
+    # h = 7 leads at q^2, so to n_max = 1 the window holds only c(1) = 0:
+    # uniqueness finds no witness, scan no negative coefficient
+    code, out, err = capture(capsys, ["uniqueness", "--n-max", "1"])
+    assert (code, out, err) == (
+        1, "hypotheses unverified: no five pairwise-coprime nonzero indices up to 1\n", ""
+    )
+    _, out, _ = capture(capsys, ["uniqueness", "--n-max", "1", "--format", "json"])
+    payload = json.loads(out)
+    assert (payload["c1_zero"], payload["witness_indices"], payload["searched_to"]) == (
+        True, None, 1
+    )
+    code, out, err = capture(capsys, ["scan", "--h-max", "9", "--n-max", "1"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5:] == [
+        f"h={h}: no negative coefficients through n_max=1 (truncation-limited evidence)"
+        for h in (7, 8, 9)
+    ]
+    # expand still refuses a window below the leading term
+    with pytest.raises(SystemExit) as exc:
+        run(["expand", "--n-max", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: n_max=1 is below the leading exponent 48/24\n"
+    )
+
+
 def test_uniqueness_failing_spec_exits_one(capsys):
     # the h = 5 quotient has c(1) != 0
     code, out, _ = capture(capsys, ["uniqueness", "--h", "5", "--n-max", "100"])
@@ -223,14 +250,40 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
     assert not path.exists()
 
 
-def test_arithmetic_failure_exits_one(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "failure, reason",
+    [
+        pytest.param(
+            lseries.IdentityViolation(3, 10, 1), "a(3) - b(3) = 9 is not divisible by 8",
+            id="IdentityViolation",
+        ),
+        pytest.param(
+            quadfield.InconsistencyError("p=11 = 2^2 + 7*1^2: a second or non-split hit"),
+            "p=11 = 2^2 + 7*1^2: a second or non-split hit",
+            id="InconsistencyError",
+        ),
+        pytest.param(
+            quadfield.SplittingError("p=3 is not x^2 + 7y^2; it does not split"),
+            "p=3 is not x^2 + 7y^2; it does not split",
+            id="SplittingError",
+        ),
+        pytest.param(
+            qseries.InexactDivisionError("power recurrence: division by 2 is not exact"),
+            "power recurrence: division by 2 is not exact",
+            id="InexactDivisionError",
+        ),
+    ],
+)
+def test_arithmetic_failure_exits_one(capsys, monkeypatch, failure, reason):
+    # each of the package's own check failures, raised inside a handler,
+    # is exit 1 and one stderr line
     def boom(n_max, at=None):
-        raise lseries.IdentityViolation(3, 10, 1)
+        raise failure
 
-    monkeypatch.setattr(cli.lseries, "c_table", boom)
+    monkeypatch.setattr(lseries, "c_table", boom)
     code, out, err = capture(capsys, ["coeffs", "--n-max", "10"])
-    assert code == 1
-    assert err == "mathematical check failed: a(3) - b(3) = 9 is not divisible by 8\n"
+    assert (code, out) == (1, "")
+    assert err == f"mathematical check failed: {reason}\n"
 
 
 def test_missed_split_prime_exits_one(capsys, monkeypatch):
@@ -382,6 +435,16 @@ def test_programming_errors_are_not_check_failures(capsys, monkeypatch):
     with pytest.raises(ZeroDivisionError):
         run(["coeffs", "--n-max", "10"])
     assert capsys.readouterr().err == ""
+
+    # ZeroDivisionError shares ArithmeticError with the check failures; one
+    # raised by the handler itself surfaces as itself too
+    def handler(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "_cmd_scan", handler)
+    with pytest.raises(ZeroDivisionError):
+        run(["scan"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_inexact_power_recurrence_exits_one(capsys, monkeypatch):
@@ -605,15 +668,30 @@ def test_render_json_matches_json_dumps(payload):
     assert cli._render_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
+_TABLE_MODULES = ("cycloeta.lseries", "cycloeta.quadfield", "cycloeta.analysis")
+# loaded only by the commands that run them, never at start-up
+_OFF_START_UP = (
+    "json", "csv", "array", "dataclasses", "inspect", "fractions", "decimal",
+    *_TABLE_MODULES,
+)
+
+
 def test_cli_import_leaves_json_and_csv_unloaded():
-    # json and csv load only in the renderers that need them, and array
-    # only where a table is built, off every command's start-up path
+    # json and csv load only in the renderers that need them, array only
+    # where a table is built, dataclasses/inspect and fractions/decimal on
+    # no start-up path, and the table modules only in the handlers that use
+    # them; an `expand --spec` run never loads the table modules
     probe = (
         "import sys, cycloeta.cli; "
-        "print(sorted({'json', 'csv', 'array'} & set(sys.modules)))"
+        f"print(sorted(set({_OFF_START_UP!r}) & set(sys.modules))); "
+        "cycloeta.cli.run(['expand', '--spec', '4:3,1:-3,2:-3', '--n-max', '40']); "
+        f"print(sorted(set({_TABLE_MODULES!r}) & set(sys.modules)))"
     )
     proc = _run([sys.executable, "-c", probe])
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert lines[1].startswith("expansion of eta(1t)^-3*eta(2t)^-3*eta(4t)^3")
 
 
 def test_perfbench_spans_wrap_a_several_factor_expand():

@@ -75,6 +75,34 @@ def test_spec_map_roundtrip_and_str():
     assert str(EtaQuotientSpec(((1, -1),))) == "1/1"
 
 
+def test_spec_is_a_frozen_value_type():
+    # repr, equality and hash by terms, as the frozen dataclass gave them
+    s = cyclotomic_spec(7)
+    assert repr(s) == "EtaQuotientSpec(terms=((1, -1), (7, 7)))"
+    assert s == EtaQuotientSpec(terms=((7, 7), (1, -1)))
+    assert hash(s) == hash((((1, -1), (7, 7)),))
+    assert s != EtaQuotientSpec(((7, 7),)) and s != s.terms
+    assert len({s, EtaQuotientSpec(((1, -1), (7, 7)))}) == 1
+    for name in ("terms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, ())
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s.terms == ((1, -1), (7, 7))
+
+
+def test_leading_degree_is_the_least_window_expand_accepts():
+    for spec in (*map(cyclotomic_spec, range(2, 40)), EtaQuotientSpec(((1, -3),))):
+        lead = spec.leading_degree()
+        expand(spec, max(lead, 1))
+        if lead > 1:
+            with pytest.raises(ValueError, match="below the leading exponent"):
+                expand(spec, lead - 1)
+    assert cyclotomic_spec(7).leading_degree() == 2
+    assert cyclotomic_spec(2).leading_degree() == 1  # order 3/24
+    assert EtaQuotientSpec(((1, -3),)).leading_degree() == 0  # order -3/24
+
+
 def test_cyclotomic_spec_small_h():
     assert dict(cyclotomic_spec(7).terms) == {7: 7, 1: -1}
     assert dict(cyclotomic_spec(2).terms) == {2: 2, 1: -1}

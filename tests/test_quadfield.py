@@ -18,6 +18,7 @@ from cycloeta.quadfield import (
     EulerFactor,
     InconsistencyError,
     QuadInt,
+    SplitRep,
     SplittingError,
     hecke_weight,
     ideals_of_norm,
@@ -42,6 +43,39 @@ def test_parity_enforced():
         QuadInt(1, 0)
     with pytest.raises(ValueError):
         QuadInt(2, 3)
+
+
+@pytest.mark.parametrize(
+    "record, text, fields",
+    [
+        (QuadInt(1, 1), "QuadInt(u=1, v=1)", (1, 1)),
+        (SplitRep(11, 2, 1), "SplitRep(p=11, x=2, y=1)", (11, 2, 1)),
+        (EulerFactor(11, 6, 121), "EulerFactor(p=11, c1=6, c2=121)", (11, 6, 121)),
+    ],
+)
+def test_records_behave_as_frozen_value_types(record, text, fields):
+    # repr, equality and hash by field, as the frozen dataclasses gave them
+    cls = type(record)
+    assert repr(record) == text
+    assert record == cls(*fields) and hash(record) == hash(fields)
+    assert record != cls(*fields[:-1], fields[-1] + 2)
+    assert record != fields and len({record, cls(*fields)}) == 1
+    for name in (*cls.__slots__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in cls.__slots__) == fields
+    with pytest.raises(TypeError):
+        cls(*fields[:-1])
+
+
+def test_records_from_the_splitting_routes():
+    assert split_rep(11) == SplitRep(11, 2, 1)
+    assert split_euler_factor(11) == EulerFactor(11, 6, 121)
+    assert str(QuadInt(1, 1)) == "(1 + 1*sqrt(-7))/2"
+    with pytest.raises(ValueError, match="is not integral"):
+        QuadInt(u=1, v=2)
 
 
 def test_pi_two_generates_two():

@@ -11,7 +11,9 @@ import math
 from itertools import combinations, compress, islice, repeat
 from operator import le
 
-from . import etaprod, lseries
+# lseries, and with it quadfield, is imported by the checks that read its
+# tables, so a scan loads neither
+from . import etaprod
 from .arith import epsilon, is_prime, primes_up_to
 
 
@@ -27,6 +29,8 @@ def case_margin(p, k):
     split     a > p^(2k) >= (k+1) p^k >= |b|
     inert     (a - |b|) (p^2+1) >= (p^(k+2)-1)(p^k-1) - 2 > 0
     """
+    from . import lseries
+
     return _margin(p, k, lseries.a_prime_power(p, k), lseries.b_prime_power(p, k))
 
 
@@ -67,6 +71,8 @@ def check_positivity(n_max):
 
     The margins take a(p^k) and b(p^k) from the tables that c is built
     from, and c is freed before they are built."""
+    from . import lseries
+
     c, a_at, b_at = lseries.c_table(
         n_max, at=(q for _, _, q in _prime_powers(n_max))
     )
@@ -146,6 +152,8 @@ def nondecomp_witness(p):
     """
     if p < 11 or not is_prime(p):
         raise ValueError("the argument applies to primes p >= 11 only")
+    from . import lseries
+
     bound = (p * p - 1) // 24
     hi = bound + p - 1  # last index that must be nonzero
     series = etaprod.expand(etaprod.cyclotomic_spec(p), hi)
@@ -171,9 +179,7 @@ def conjecture_scan(h_max, n_max):
         raise ValueError("h_max must be >= 2")
     out = []
     for h in range(2, h_max + 1):
-        spec = etaprod.cyclotomic_spec(h)
-        # expanded through the leading term at least, read only up to n_max
-        series = etaprod.expand(spec, max(n_max, spec.leading_degree()))
+        series = etaprod.expand(etaprod.cyclotomic_spec(h), n_max)
         exponents = range(series.order24, 24 * n_max + 1, 24)
         first = next((e for e, c in zip(exponents, series.coeffs) if c < 0), None)
         out.append({"h": h, "checked_to": n_max, "order24": series.order24,

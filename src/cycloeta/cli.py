@@ -148,7 +148,12 @@ def _spec_head(args):
 
 def _cmd_expand(args):
     spec, payload = _spec_head(args)
-    series = etaprod.expand(spec, payload["n_max"])
+    n_max, o24 = payload["n_max"], spec.order24()
+    # expand would return the leading term alone, past n_max; this command
+    # refuses such a window instead
+    if 24 * n_max < o24:
+        raise ValueError(f"n_max={n_max} is below the leading exponent {o24}/24")
+    series = etaprod.expand(spec, n_max)
     integral = series.order24 % 24 == 0
     first, step = (series.order24 // 24, 1) if integral else (series.order24, 24)
     rows = [[first + step * i, c] for i, c in enumerate(series.coeffs)]
@@ -221,8 +226,7 @@ def _cmd_uniqueness(args):
 
     spec, payload = _spec_head(args)
     n_max = payload["n_max"]
-    # expanded through the leading term at least, read only up to n_max
-    series = etaprod.expand(spec, max(n_max, spec.leading_degree()))
+    series = etaprod.expand(spec, n_max)
     values = lseries.expansion_values(series, n_max)
     payload.update(analysis.uniqueness_hypotheses(values))
     return payload, 0 if payload["verified"] else 1

@@ -43,10 +43,6 @@ class EtaQuotientSpec(Record):
         """Leading exponent of the q-expansion, in units of 1/24."""
         return sum(s * e for s, e in self.terms)
 
-    def leading_degree(self):
-        """The least n_max that `expand` accepts: order24/24 rounded up."""
-        return -(-self.order24() // 24)
-
     def weight(self):
         from fractions import Fraction  # off the start-up path of every command
 
@@ -136,15 +132,12 @@ def expand(spec, n_max):
     """q-expansion of the quotient through q**n_max, exactly.
 
     Returns a QSeries with order24 = spec.order24(); the window covers every
-    exponent (order24 + 24k)/24 <= n_max.  The factors E(q^s)^e go to
+    exponent (order24 + 24k)/24 <= n_max, and always the leading term, so
+    an n_max below it gives the window (1,).  The factors E(q^s)^e go to
     `_product` in ascending scale.
     """
     o24 = spec.order24()
-    n_coeff = (24 * n_max - o24) // 24 + 1
-    if n_coeff < 1:
-        raise ValueError(
-            f"n_max={n_max} is below the leading exponent {o24}/24"
-        )
+    n_coeff = max((24 * n_max - o24) // 24 + 1, 1)
     return QSeries(_product([(s, None, e) for s, e in spec.terms], n_coeff), o24)
 
 

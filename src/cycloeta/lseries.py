@@ -19,6 +19,7 @@ from operator import rshift, sub
 from . import etaprod
 from .arith import (
     CheckFailure,
+    Record,
     divisors,
     epsilon,
     factorize,
@@ -77,7 +78,7 @@ def _words(values):
         return list(values)
 
 
-class CoeffTable:
+class CoeffTable(Record):
     """Coefficient table values[1..n_max]; values[0] is unused and 0.
 
     kind "A" and "B" tables are multiplicative with values[1] = 1;
@@ -95,24 +96,12 @@ class CoeffTable:
         want = 0 if kind == "C" else 1
         if values[1] != want:
             raise ValueError(f"kind {kind} requires values[1] == {want}")
-        self.kind = kind
-        self.n_max = n_max
-        self.values = _words(values)
+        super().__init__(kind, n_max, _words(values))
 
     def __getitem__(self, n):
         if not 1 <= n <= self.n_max:
             raise IndexError(f"n={n} outside 1..{self.n_max}")
         return self.values[n]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoeffTable)
-            and (self.kind, self.n_max, self.values)
-            == (other.kind, other.n_max, other.values)
-        )
-
-    def __repr__(self):
-        return f"CoeffTable(kind={self.kind!r}, n_max={self.n_max})"
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +305,10 @@ def coeff_table_from_series(series, n_max):
 
 
 def c_table_from_expansion(n_max):
-    """The independent pipeline: expand the eta quotient itself, through at
-    least its leading term q^2, so that n_max = 1 reads c(1) = 0."""
-    series = etaprod.expand(etaprod.cyclotomic_spec(7), max(n_max, 2))
+    """The independent pipeline: expand the eta quotient itself.  The
+    expansion holds at least its leading term q^2, so that n_max = 1
+    reads c(1) = 0."""
+    series = etaprod.expand(etaprod.cyclotomic_spec(7), n_max)
     return coeff_table_from_series(series, n_max)
 
 

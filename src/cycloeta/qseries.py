@@ -15,7 +15,7 @@ import struct
 import sys
 from operator import itemgetter, mul
 
-from .arith import CheckFailure
+from .arith import CheckFailure, Record
 
 
 class InexactDivisionError(CheckFailure):
@@ -38,7 +38,6 @@ def pentagonal_terms(limit):
         if g <= limit:
             terms.append((g, sign))
         k += 1
-    terms.sort()
     return terms
 
 
@@ -76,38 +75,32 @@ def _schoolbook_mul(a, b, n):
 def _kronecker_mul(a, b, n):
     """Convolution via packing into big ints; exact for signed coefficients.
 
-    Split each factor into nonnegative parts.  With P_abs the product of the
-    absolute-value packings and P_sig the product of the signed evaluations,
-    (P_abs + P_sig)/2 and (P_abs - P_sig)/2 have plain nonnegative digits
-    equal to the positive and negative parts of the convolution, so both
-    unpack by byte slicing without borrow handling.
+    Every convolution coefficient lies in (-h, h) with h = 2^(8w-1), for
+    fields of w bytes.  Each factor is packed once with h added to each
+    field, and the packed biases are subtracted once; one signed product
+    then carries the convolution.  With h added back to each of its first
+    n fields, those fields are the nonnegative digits c + h, which a mask
+    and byte slicing read without borrow handling.
     """
     amax = max((abs(x) for x in a), default=0)
     bmax = max((abs(x) for x in b), default=0)
     if amax == 0 or bmax == 0:
         return [0] * n
     bound = amax * bmax * min(len(a), len(b))
-    w = bound.bit_length() // 8 + 1  # digit width in bytes; 2^(8w) > 2*bound
+    w = bound.bit_length() // 8 + 1  # digit width in bytes; h > bound
+    h = 1 << (8 * w - 1)
+    field = h.to_bytes(w, "little")
 
-    def pack(vec, pick):
-        return int.from_bytes(
-            b"".join(pick(v).to_bytes(w, "little") for v in vec), "little"
-        )
+    def biases(count):
+        return int.from_bytes(field * count, "little")
 
-    apos = pack(a, lambda v: v if v > 0 else 0)
-    aneg = pack(a, lambda v: -v if v < 0 else 0)
-    bpos = pack(b, lambda v: v if v > 0 else 0)
-    bneg = pack(b, lambda v: -v if v < 0 else 0)
-    p_abs = (apos + aneg) * (bpos + bneg)
-    p_sig = (apos - aneg) * (bpos - bneg)
+    def pack(vec):
+        biased = b"".join((v + h).to_bytes(w, "little") for v in vec)
+        return int.from_bytes(biased, "little") - biases(len(vec))
+
     mask = (1 << (8 * w * n)) - 1
-    pos_raw = (((p_abs + p_sig) >> 1) & mask).to_bytes(w * n, "little")
-    neg_raw = (((p_abs - p_sig) >> 1) & mask).to_bytes(w * n, "little")
-    return [
-        int.from_bytes(pos_raw[i * w:(i + 1) * w], "little")
-        - int.from_bytes(neg_raw[i * w:(i + 1) * w], "little")
-        for i in range(n)
-    ]
+    raw = ((pack(a) * pack(b) + biases(n)) & mask).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i * w:(i + 1) * w], "little") - h for i in range(n)]
 
 
 def _mul_lists(a, b, n):
@@ -384,7 +377,7 @@ def _sparse_mul(dense, tail, n):
 
 # ---------------------------------------------------------------------------
 
-class QSeries:
+class QSeries(Record):
     """Immutable truncated series sum c[i] q^((order24 + 24 i)/24)."""
 
     __slots__ = ("order24", "coeffs")
@@ -393,27 +386,8 @@ class QSeries:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("empty coefficient window")
-        # normal form: leading coefficient nonzero unless the whole window is 0
-        first = next((i for i, c in enumerate(coeffs) if c != 0), None)
-        if first:
-            coeffs = coeffs[first:]
-            order24 += 24 * first
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "order24", order24)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
+        super().__init__(order24, coeffs)
 
     @property
     def trunc(self):
         return len(self.coeffs)
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.trunc > 8 else ""
-        return f"QSeries(order24={self.order24}, trunc={self.trunc}, [{head}{tail}])"
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.order24 == other.order24 and self.coeffs == other.coeffs

@@ -409,6 +409,32 @@ def test_nondecomp_failure_renderings(capsys, monkeypatch, fmt):
     assert (code, out) == (1, NONDECOMP_FAILS[fmt])
 
 
+SCAN_NEGATIVE = {
+    "text": (
+        "h=2: no negative coefficients through n_max=10 (truncation-limited evidence)\n"
+        "h=3: first negative coefficient at exponent 128/24\n"
+    ),
+    "csv": (
+        "h,order24,exponent_integral,first_negative_num24,checked_to\n"
+        "2,3,False,,10\n3,8,False,128,10\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SCAN_NEGATIVE))
+def test_scan_negative_coefficient_renderings(capsys, monkeypatch, fmt):
+    # no real scan meets a negative coefficient; the h = 3 entry is given one
+    honest = analysis.conjecture_scan
+
+    def negative(h_max, n_max):
+        entries = honest(h_max, n_max)
+        return entries[:1] + [{**entries[1], "first_negative_num24": 128}]
+
+    monkeypatch.setattr(analysis, "conjecture_scan", negative)
+    code, out, _ = capture(capsys, ["scan", "--h-max", "3", "--n-max", "10", "--format", fmt])
+    assert (code, out) == (0, SCAN_NEGATIVE[fmt])
+
+
 def _exhausted(*args, **kwargs):
     raise MemoryError
 
@@ -692,6 +718,33 @@ def test_cli_import_leaves_json_and_csv_unloaded():
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[]")
     assert lines[1].startswith("expansion of eta(1t)^-3*eta(2t)^-3*eta(4t)^3")
+
+
+def test_scan_loads_no_table_module():
+    # a scan expands the family and reads no table: lseries and quadfield
+    # stay unloaded
+    probe = (
+        "import sys, cycloeta.cli; "
+        "cycloeta.cli.run(['scan', '--h-max', '4', '--n-max', '20']); "
+        f"print(sorted(set({_TABLE_MODULES!r}) & set(sys.modules)))"
+    )
+    proc = _run([sys.executable, "-c", probe])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['cycloeta.analysis']"
+
+
+def test_perfbench_spans_install():
+    # perfbench/spans.py patches names of every layer (_trace, spf_table,
+    # coeff_table_from_series, ...); deleting or renaming one fails here
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+        "import spans\n"
+        "spans.install(spans.Tracer())\n"
+    )
+    proc = _run([sys.executable, "-c", script], timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_perfbench_spans_wrap_a_several_factor_expand():

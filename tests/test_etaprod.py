@@ -28,7 +28,13 @@ from cycloeta.etaprod import (
     cyclotomic_spec,
     expand,
 )
-from cycloeta.qseries import _schoolbook_mul, _solve_quotient, _sparse_power, pentagonal_terms
+from cycloeta.qseries import (
+    QSeries,
+    _schoolbook_mul,
+    _solve_quotient,
+    _sparse_power,
+    pentagonal_terms,
+)
 
 
 def literal_product(binomials, n):
@@ -91,16 +97,13 @@ def test_spec_is_a_frozen_value_type():
     assert s.terms == ((1, -1), (7, 7))
 
 
-def test_leading_degree_is_the_least_window_expand_accepts():
+def test_expand_below_the_leading_term_returns_it():
+    # a window below the leading exponent still holds the leading term
     for spec in (*map(cyclotomic_spec, range(2, 40)), EtaQuotientSpec(((1, -3),))):
-        lead = spec.leading_degree()
-        expand(spec, max(lead, 1))
-        if lead > 1:
-            with pytest.raises(ValueError, match="below the leading exponent"):
-                expand(spec, lead - 1)
-    assert cyclotomic_spec(7).leading_degree() == 2
-    assert cyclotomic_spec(2).leading_degree() == 1  # order 3/24
-    assert EtaQuotientSpec(((1, -3),)).leading_degree() == 0  # order -3/24
+        o24 = spec.order24()
+        below = -(-o24 // 24) - 1  # the greatest n_max with 24 * n_max < o24
+        assert expand(spec, below) == QSeries([1], o24)
+        assert expand(spec, below - 3) == QSeries([1], o24)
 
 
 def test_cyclotomic_spec_small_h():
@@ -164,8 +167,7 @@ def test_expand_h4_fractional_head():
 
 
 def test_expand_window_too_small():
-    with pytest.raises(ValueError):
-        expand(cyclotomic_spec(7), 1)
+    assert expand(cyclotomic_spec(7), 1) == QSeries([1], 48)
 
 
 def test_expand_empty_spec_is_one():

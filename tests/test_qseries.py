@@ -1,4 +1,4 @@
-"""Series substrate: exactness, the QSeries normal form, Euler's product,
+"""Series substrate: exactness, the QSeries record, Euler's product,
 the power recurrence, the products and the sparse quotient solve.
 
 Expected values are frozen from the brute-force oracles defined here
@@ -83,12 +83,7 @@ def test_inverse_times_original_is_one():
     assert _schoolbook_mul(inv, list(s.coeffs), s.trunc) == [1, 0, 0, 0, 0, 0]
 
 
-def test_normalization_strips_leading_zeros():
-    s = QSeries([0, 0, 5, 1], order24=24)
-    assert s.order24 == 24 + 48
-    assert s.coeffs == (5, 1)
-    z = QSeries([0, 0, 0])
-    assert z.coeffs == (0, 0, 0) and z.order24 == 0
+def test_empty_window_is_refused():
     with pytest.raises(ValueError):
         QSeries([])
 

@@ -37,12 +37,9 @@ _SOURCES = {
     "qseries": ("QSeries",),
     "quadfield": (
         "PI_TWO",
-        "EulerFactor",
         "QuadInt",
-        "SplitRep",
         "hecke_weight",
         "ideals_of_norm",
-        "split_euler_factor",
         "split_rep",
         "split_traces",
     ),

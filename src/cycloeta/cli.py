@@ -160,7 +160,7 @@ def _cmd_expand(args):
     payload.update(
         order24=series.order24,
         exponent_integral=integral,
-        weight=str(spec.weight()),
+        weight=spec.weight(),
         row_key="n" if integral else "num24",
         rows=rows,
     )

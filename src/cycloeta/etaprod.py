@@ -44,9 +44,9 @@ class EtaQuotientSpec(Record):
         return sum(s * e for s, e in self.terms)
 
     def weight(self):
-        from fractions import Fraction  # off the start-up path of every command
-
-        return Fraction(sum(e for _, e in self.terms), 2)
+        """Half the exponent sum as exact text: "3", "1/2", "-5/2"."""
+        w = sum(e for _, e in self.terms)
+        return f"{w}/2" if w % 2 else str(w // 2)
 
     def __str__(self):
         def side(pairs):
@@ -172,8 +172,8 @@ def cyclotomic_check(h, degree):
 # Rescaled corpus: integer-exponent variants of small cyclotomic quotients.
 # "48^3/24" is {2: 3, 1: -1} at 24*tau; the other two are the h = 4 and
 # h = 6 cyclotomic specs at 8*tau and 12*tau.
-CORPUS = {
-    "48^3/24": EtaQuotientSpec(((48, 3), (24, -1))),
-    "32^2*16/8": EtaQuotientSpec(((32, 2), (16, 1), (8, -1))),
-    "72*36*24/12": EtaQuotientSpec(((72, 1), (36, 1), (24, 1), (12, -1))),
-}
+CORPUS = {str(s): s for s in (
+    EtaQuotientSpec(((48, 3), (24, -1))),
+    EtaQuotientSpec(((32, 2), (16, 1), (8, -1))),
+    EtaQuotientSpec(((72, 1), (36, 1), (24, 1), (12, -1))),
+)}

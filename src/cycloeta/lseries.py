@@ -30,7 +30,6 @@ from .quadfield import (
     InconsistencyError,
     hecke_weight,
     ideals_of_norm,
-    split_euler_factor,
     split_trace,
     split_traces,
 )
@@ -226,8 +225,7 @@ def _local_expansion(p, n_max):
     if p == 7:
         c1, c2 = 7, 0
     elif epsilon(p) == 1:
-        fac = split_euler_factor(p)
-        c1, c2 = fac.c1, fac.c2
+        c1, c2 = -split_trace(p), p * p
     else:
         c1, c2 = 0, -p * p
     out = []

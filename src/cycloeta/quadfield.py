@@ -29,18 +29,8 @@ class QuadInt(Record):
             raise ValueError(f"({u} + {v}*sqrt(-7))/2 is not integral")
         super().__init__(u, v)
 
-    @classmethod
-    def from_int(cls, a):
-        return cls(2 * a, 0)
-
     def __add__(self, other):
         return QuadInt(self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        return QuadInt(self.u - other.u, self.v - other.v)
-
-    def __neg__(self):
-        return QuadInt(-self.u, -self.v)
 
     def __mul__(self, other):
         # ((u1 + v1 r)/2)((u2 + v2 r)/2) with r^2 = -7; both halves are even
@@ -48,14 +38,6 @@ class QuadInt(Record):
         u = (self.u * other.u - 7 * self.v * other.v) // 2
         v = (self.u * other.v + other.u * self.v) // 2
         return QuadInt(u, v)
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative powers leave the ring")
-        out = QuadInt.from_int(1)
-        for _ in range(e):
-            out = out * self
-        return out
 
     def conjugate(self):
         return QuadInt(self.u, -self.v)
@@ -76,14 +58,8 @@ class QuadInt(Record):
 PI_TWO = QuadInt(1, 1)
 
 
-class SplitRep(Record):
-    """The unique x, y > 0 with p = x^2 + 7*y^2 for an odd split prime p."""
-
-    __slots__ = ("p", "x", "y")
-
-
 def split_rep(p):
-    """Positive representation p = x^2 + 7 y^2 of an odd split prime.
+    """The pair x, y > 0 with p = x^2 + 7 y^2, for an odd split prime p.
 
     Cornacchia's algorithm (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 1.5.2): a square root r of -7 mod p, then Euclid
@@ -103,7 +79,7 @@ def split_rep(p):
     a, b = p, _sqrt_mod_prime(p - 7, p)
     while b * b > p:
         a, b = b, a % b
-    return SplitRep(p, b, math.isqrt((p - b * b) // 7))
+    return b, math.isqrt((p - b * b) // 7)
 
 
 def _sqrt_mod_prime(a, p):
@@ -137,8 +113,8 @@ def pi_element(p):
     """A prime of the ring above the split rational prime p."""
     if p == 2:
         return PI_TWO
-    r = split_rep(p)
-    return QuadInt(2 * r.x, 2 * r.y)
+    x, y = split_rep(p)
+    return QuadInt(2 * x, 2 * y)
 
 
 def hecke_weight(alpha):
@@ -178,21 +154,14 @@ def ideals_of_norm(n):
     return out
 
 
-class EulerFactor(Record):
-    """Local factor 1 + c1*X + c2*X^2 of the shifted Hecke series at a
-    split prime."""
-
-    __slots__ = ("p", "c1", "c2")
-
-
 def split_trace(p):
     """pi_p^2 + conj(pi_p)^2 as a rational integer: -3 at p = 2, else
     2*(x^2 - 7*y^2), read off p = x^2 + 7 y^2 without forming ring
     elements."""
     if p == 2:
         return -3
-    r = split_rep(p)
-    return 2 * (r.x * r.x - 7 * r.y * r.y)
+    x, y = split_rep(p)
+    return 2 * (x * x - 7 * y * y)
 
 
 def split_traces(n_max):
@@ -232,8 +201,3 @@ def _prime_reps(n_max, flags):
             p = x * x + c
             if flags[p]:
                 yield p, x, y
-
-
-def split_euler_factor(p):
-    """(1 - pi^2 X)(1 - conj(pi)^2 X) = 1 + c1 X + c2 X^2 at a split p."""
-    return EulerFactor(p, -split_trace(p), p * p)

@@ -452,6 +452,27 @@ def test_out_of_memory_exits_three(capsys, monkeypatch, argv, module, stage, siz
     assert err == f"cycloeta {argv[0]}: error: out of memory ({size})\n"
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["expand", "--h", "7", "--n-max", "100000000"], "n-max 100000000"),
+    (["nondecomp", "--p", "100003"], "p 100003"),
+])
+def test_real_out_of_memory_exits_three(argv, size):
+    # a fresh process whose address space is capped at 512 MB runs out for
+    # real; the whole stderr is the one error line, with no traceback
+    resource = pytest.importorskip("resource")
+    cap = 512 << 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloeta", *argv], input="", capture_output=True,
+        text=True, env=_child_env(), preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"cycloeta {argv[0]}: error: out of memory ({size})\n"
+
+
 def test_programming_errors_are_not_check_failures(capsys, monkeypatch):
     # only the package's own check failures exit 1; a ZeroDivisionError is a bug
     def bug(n_max, at=None):
@@ -706,17 +727,19 @@ def test_cli_import_leaves_json_and_csv_unloaded():
     # json and csv load only in the renderers that need them, array only
     # where a table is built, dataclasses/inspect and fractions/decimal on
     # no start-up path, and the table modules only in the handlers that use
-    # them; an `expand --spec` run never loads the table modules
+    # them; an `expand --spec` run never loads the table modules, and its
+    # weight loads neither fractions nor decimal
     probe = (
         "import sys, cycloeta.cli; "
         f"print(sorted(set({_OFF_START_UP!r}) & set(sys.modules))); "
         "cycloeta.cli.run(['expand', '--spec', '4:3,1:-3,2:-3', '--n-max', '40']); "
-        f"print(sorted(set({_TABLE_MODULES!r}) & set(sys.modules)))"
+        f"print(sorted(set({_TABLE_MODULES!r}) & set(sys.modules))); "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     )
     proc = _run([sys.executable, "-c", probe])
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (lines[0], lines[-2], lines[-1]) == ("[]", "[]", "[]")
     assert lines[1].startswith("expansion of eta(1t)^-3*eta(2t)^-3*eta(4t)^3")
 
 

@@ -12,7 +12,7 @@ schoolbook kernel with `_product`.
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycloeta import lseries, qseries
@@ -135,10 +135,25 @@ def test_integral_exponent_classification():
 
 
 def test_weight():
+    assert cyclotomic_spec(7).weight() == "3"
+    assert cyclotomic_spec(2).weight() == "1/2"
+    assert EtaQuotientSpec(((1, -6), (2, 1))).weight() == "-5/2"
+
+
+@given(
+    st.dictionaries(
+        st.integers(1, 50), st.integers(-10**5, 10**5).filter(bool),
+        min_size=1, max_size=4,
+    )
+)
+@example({1: 1, 2: -1})
+@settings(max_examples=200, deadline=None)
+def test_weight_matches_fraction_text(exponents):
+    # weight writes no Fraction, so that expand never loads fractions
     from fractions import Fraction
 
-    assert cyclotomic_spec(7).weight() == 3
-    assert cyclotomic_spec(2).weight() == Fraction(1, 2)
+    spec = EtaQuotientSpec(exponents.items())
+    assert spec.weight() == str(Fraction(sum(exponents.values()), 2))
 
 
 def test_rescaled_and_corpus():

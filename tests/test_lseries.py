@@ -33,7 +33,7 @@ from cycloeta.lseries import (
     expansion_values,
 )
 from cycloeta.qseries import QSeries
-from cycloeta.quadfield import hecke_weight, pi_element
+from cycloeta.quadfield import QuadInt, hecke_weight, pi_element
 
 A_HEAD = [1, 5, 8, 21, 24, 40, 49, 85, 73, 120, 122, 168]
 B_HEAD = [1, -3, 0, 5, 0, 0, -7, -3, 9, 0, -6, 0]
@@ -94,8 +94,10 @@ def test_split_power_sum_against_literal_ring_sum():
         sq = hecke_weight(pi_element(p))
         cj = sq.conjugate()
         max_k = 30 if p < 50 else 8
-        pw = [sq**t for t in range(max_k + 1)]
-        pc = [cj**t for t in range(max_k + 1)]
+        pw, pc = [QuadInt(2, 0)], [QuadInt(2, 0)]
+        for _ in range(max_k):
+            pw.append(pw[-1] * sq)
+            pc.append(pc[-1] * cj)
         for k in range(max_k + 1):
             total = pw[0] * pc[k]
             for t in range(1, k + 1):

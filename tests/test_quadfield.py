@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycloeta import quadfield
+from cycloeta import lseries, quadfield
 from cycloeta.arith import divisors, epsilon, primes_up_to
 from cycloeta.quadfield import (
     PI_TWO,
@@ -189,14 +189,9 @@ def test_split_rep_rejects_non_primes():
 
 
 def test_split_trace_matches_ring_square():
-    # the local factor at a split p is (1 - pi^2 X)(1 - conj(pi)^2 X)
-    # = 1 - split_trace(p) X + p^2 X^2: the trace is pi^2 + conj(pi)^2
-    # and the constant norm(pi)^2 = p^2
     for p in [2] + [p for p in primes_up_to(20_000) if epsilon(p) == 1]:
         sq = hecke_weight(pi_element(p))
         assert split_trace(p) == (sq + sq.conjugate()).rational_part()
-        assert (sq * sq.conjugate()).rational_part() == p * p
-    assert (split_trace(2), split_trace(11), split_trace(23)) == (-3, -6, 18)
     with pytest.raises(SplittingError):
         split_trace(3)
 
@@ -310,3 +305,19 @@ def test_split_trace_closed_form():
     for p in [11, 23, 29, 37, 43, 53]:
         x, y = split_rep(p)
         assert split_trace(p) == 2 * (x ** 2 - 7 * y ** 2)
+
+
+def test_split_euler_factor_from_roots():
+    # the local factor 1 + c1 X + c2 X^2 at a split p must equal
+    # (1 - pi^2 X)(1 - conj(pi)^2 X): c1 = -(pi^2 + conj(pi)^2) and
+    # c2 = norm(pi)^2 = p^2.  Its reciprocal starts 1 - c1 X + (c1^2 - c2) X^2
+    for p in [2, 11, 23, 29, 37]:
+        sq = hecke_weight(pi_element(p))
+        c1 = -(sq + sq.conjugate()).rational_part()
+        c2 = (sq * sq.conjugate()).rational_part()
+        assert c2 == p * p
+        assert lseries._local_expansion(p, p * p) == [(p, -c1), (p * p, c1 * c1 - c2)]
+    assert (split_trace(2), split_trace(11), split_trace(23)) == (-3, -6, 18)
+    assert lseries._local_expansion(2, 4) == [(2, -3), (4, 5)]
+    assert lseries._local_expansion(11, 121) == [(11, -6), (121, -85)]
+    assert lseries._local_expansion(23, 529) == [(23, 18), (529, -205)]

@@ -15,7 +15,7 @@ truncation when --n-max is not given.
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 
 # the parser needs etaprod.CORPUS; every other cycloeta module is imported
@@ -178,7 +178,7 @@ def _cmd_coeffs(args):
 
     n_max = _resolve_n_max(args)
     c, av, bv = lseries.c_table(n_max, at=range(1, n_max + 1))
-    rows = list(map(list, zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None))))
+    rows = list(zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None)))
     return {"command": "coeffs", "n_max": n_max, "rows": rows}, 0
 
 
@@ -187,9 +187,11 @@ def _cmd_verify(args):
 
     n_max = _resolve_n_max(args)
     # both tables hold 64-bit words (or lists, past 64 bits), which compare
-    # in one C-level pass
-    identity = lseries.c_table(n_max)
+    # in one C-level pass; the expansion is built first, so the identity
+    # table is not held through the expansion's peak (1.2 MB less at 1e5)
+    lseries._check_word_range(n_max)
     expansion = lseries.c_table_from_expansion(n_max)
+    identity = lseries.c_table(n_max)
     first_mismatch = None
     if identity != expansion:
         first_mismatch = next(
@@ -257,12 +259,34 @@ _CSV_RECORDS = {
 }
 
 
+# the commands whose rows are ints by construction, and their row widths
+_ROW_WIDTH = {"coeffs": 4, "expand": 2}
+# rows per % template: one template for all 10^5 coeffs rows read 0.8 MB
+# more peak RSS on the JSON launch
+_ROW_CHUNK = 2048
+
+
+def _int_rows(rows, row, sep):
+    """Per chunk of `rows`, one string: the `row` template of each, joined by `sep`."""
+    for i in range(0, len(rows), _ROW_CHUNK):
+        part = rows[i:i + _ROW_CHUNK]
+        yield sep.join([row] * len(part)) % tuple(chain.from_iterable(part))
+
+
 def _render_json(payload):
     import io
     import json
 
-    # json.dumps joins a list of every encoder chunk (one per number, key
-    # and indent); json.dump writes each chunk into the buffer as it comes
+    if isinstance(payload, dict) and payload.get("command") in _ROW_WIDTH:
+        # json.dump makes an encoder chunk per number, key and indent; the
+        # rows (never empty) are %-formatted instead and joined once into the
+        # head where its marker stands, so 10^5 coeffs rows are copied once
+        width = _ROW_WIDTH[payload["command"]]
+        row = "    [\n" + ",\n".join(["      %d"] * width) + "\n    ]"
+        rows = ",\n".join(_int_rows(payload["rows"], row, ",\n"))
+        head = json.dumps({**payload, "rows": "\0rows"}, indent=2)
+        pre, _, post = head.partition('"\\u0000rows"')
+        return "".join((pre, "[\n", rows, "\n  ]", post, "\n"))
     buf = io.StringIO()
     json.dump(payload, buf, indent=2)
     buf.write("\n")
@@ -285,12 +309,11 @@ def _render_csv(payload):
         idx, cfs = (payload[k] or () for k in ("witness_indices", "witness_coeffs"))
         row = [payload["c1_zero"], " ".join(map(str, idx)), " ".join(map(str, cfs))]
         writer.writerow(row + [payload["searched_to"], payload["verified"]])
-    elif cmd == "coeffs":
-        writer.writerow(["n", "a", "b", "c"])
-        writer.writerows(payload["rows"])
     else:
-        writer.writerow([payload["row_key"], "coefficient"])
-        writer.writerows(payload["rows"])
+        writer.writerow(["n", "a", "b", "c"] if cmd == "coeffs"
+                        else [payload["row_key"], "coefficient"])
+        row = ",".join(["%d"] * _ROW_WIDTH[cmd]) + "\n"
+        buf.writelines(_int_rows(payload["rows"], row, ""))
     return buf.getvalue()
 
 
@@ -298,80 +321,55 @@ def _render_text(payload):
     cmd = payload["command"]
     lines = []
     if cmd == "expand":
-        key = payload["row_key"]
         spec = "*".join(f"eta({s}t)^{e}" for s, e in payload["spec_terms"])
         lines.append(f"expansion of {spec} to n_max={payload['n_max']}")
         if not payload["exponent_integral"]:
-            lines.append(
-                f"leading exponent {payload['order24']}/24 is fractional; "
-                f"rows are exponents in units of 1/24"
-            )
-        for n, c in payload["rows"]:
-            lines.append(f"{key}={n}: {c}")
+            lines.append(f"leading exponent {payload['order24']}/24 is fractional; "
+                         "rows are exponents in units of 1/24")
+        lines.extend(_int_rows(payload["rows"], payload["row_key"] + "=%d: %d", "\n"))
         for n, d in payload.get("known_discrepancies", {}).items():
-            lines.append(
-                f"note: n={n} computed {d['computed']} but tabulated "
-                f"{d['tabulated']} in the published table (known misprint)"
-            )
+            lines.append(f"note: n={n} computed {d['computed']} but tabulated "
+                         f"{d['tabulated']} in the published table (known misprint)")
     elif cmd == "coeffs":
         lines.append(f"n a b c (n <= {payload['n_max']})")
-        for n, a, b, c in payload["rows"]:
-            lines.append(f"{n} {a} {b} {c}")
+        lines.extend(_int_rows(payload["rows"], "%d %d %d %d", "\n"))
     elif cmd == "verify":
         if payload["identity_holds"]:
             lines.append(f"identity c=(a-b)/8 holds on [1,{payload['n_max']}]")
         else:
-            n = payload["first_mismatch"]
-            lines.append(
-                f"identity FAILS at n={n}: decomposition gives "
-                f"{payload['identity_value']}, expansion gives "
-                f"{payload['expansion_value']}"
-            )
+            lines.append(f"identity FAILS at n={payload['first_mismatch']}: decomposition "
+                         f"gives {payload['identity_value']}, expansion gives "
+                         f"{payload['expansion_value']}")
     elif cmd == "positivity":
         state = "verified" if payload["verified"] else "FAILED"
-        lines.append(
-            f"positivity {state} for 2 <= n <= {payload['n_max']} "
-            f"({len(payload['casewise'])} prime-power margins checked)"
-        )
-        for n in payload["failures"]:
-            lines.append(f"c({n}) <= 0")
-        for m in payload["inequality_failures"]:
-            lines.append(f"case inequality fails at {m['p']}^{m['k']}")
+        lines.append(f"positivity {state} for 2 <= n <= {payload['n_max']} "
+                     f"({len(payload['casewise'])} prime-power margins checked)")
+        lines.extend(f"c({n}) <= 0" for n in payload["failures"])
+        lines.extend(f"case inequality fails at {m['p']}^{m['k']}"
+                     for m in payload["inequality_failures"])
     elif cmd == "nondecomp":
         w = payload
         state = "valid" if w["valid"] else "INVALID"
-        lines.append(
-            f"p={w['p']}: witness {state} (bound={w['bound']}, m={w['m']}, "
-            f"zero_range_ok={w['zero_range_ok']}, "
-            f"nonzero_range_ok={w['nonzero_range_ok']})"
-        )
+        lines.append(f"p={w['p']}: witness {state} (bound={w['bound']}, m={w['m']}, "
+                     f"zero_range_ok={w['zero_range_ok']}, "
+                     f"nonzero_range_ok={w['nonzero_range_ok']})")
     elif cmd == "uniqueness":
         if payload["verified"]:
-            lines.append(
-                "hypotheses verified: c(1)=0 and witness indices "
-                + " ".join(map(str, payload["witness_indices"]))
-                + " with coefficients "
-                + " ".join(map(str, payload["witness_coeffs"]))
-            )
+            lines.append("hypotheses verified: c(1)=0 and witness indices "
+                         + " ".join(map(str, payload["witness_indices"]))
+                         + " with coefficients "
+                         + " ".join(map(str, payload["witness_coeffs"])))
         elif not payload["c1_zero"]:
             lines.append("hypotheses FAIL: c(1) != 0")
         else:
-            lines.append(
-                f"hypotheses unverified: no five pairwise-coprime nonzero "
-                f"indices up to {payload['searched_to']}"
-            )
+            lines.append("hypotheses unverified: no five pairwise-coprime nonzero "
+                         f"indices up to {payload['searched_to']}")
     elif cmd == "scan":
         for e in payload["entries"]:
-            if e["first_negative_num24"] is None:
-                verdict = (
-                    f"no negative coefficients through n_max={e['checked_to']} "
-                    f"(truncation-limited evidence)"
-                )
-            else:
-                verdict = (
-                    f"first negative coefficient at exponent "
-                    f"{e['first_negative_num24']}/24"
-                )
+            neg = e["first_negative_num24"]
+            verdict = (f"no negative coefficients through n_max={e['checked_to']} "
+                       "(truncation-limited evidence)" if neg is None
+                       else f"first negative coefficient at exponent {neg}/24")
             lines.append(f"h={e['h']}: {verdict}")
     lines.append("")
     return "\n".join(lines)

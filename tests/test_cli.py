@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism, env override."""
 
 import contextlib
+import csv
 import hashlib
 import importlib
 import io
@@ -573,6 +574,13 @@ def _scripts_table(text):
     return scripts
 
 
+@pytest.mark.skipif(tomllib is None, reason="tomllib is new in Python 3.11")
+def test_scripts_table_matches_tomllib():
+    # _scripts_table is the Python 3.10 reader; here tomllib is its oracle
+    text = PYPROJECT.read_text(encoding="utf-8")
+    assert _scripts_table(text) == tomllib.loads(text)["project"]["scripts"]
+
+
 def _child_env():
     """Environment whose first import root is the directory holding this `cycloeta`."""
     env = dict(os.environ)
@@ -713,6 +721,68 @@ _JSON_PAYLOADS = st.recursive(
 @given(_JSON_PAYLOADS)
 def test_render_json_matches_json_dumps(payload):
     assert cli._render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_ROW_INT = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def _row_payloads(draw):
+    """A coeffs or expand payload of 1-7 rows: both sides of 3-row chunks."""
+    width = draw(st.sampled_from([4, 2]))
+    row = st.lists(_ROW_INT, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    if width == 4:
+        return {"command": "coeffs", "n_max": len(rows), "rows": [tuple(r) for r in rows]}
+    integral = draw(st.booleans())
+    payload = {"command": "expand", "spec_terms": [[7, 7], [1, -1]], "h": 7, "n_max": 5,
+               "order24": draw(_ROW_INT), "exponent_integral": integral, "weight": "3",
+               "row_key": "n" if integral else "num24", "rows": rows}
+    misprints = st.dictionaries(
+        st.integers(2, 50), st.fixed_dictionaries({"tabulated": _ROW_INT, "computed": _ROW_INT}),
+        max_size=2)
+    if draw(st.booleans()):
+        payload["known_discrepancies"] = draw(misprints)
+    return payload
+
+
+def _per_row_text(payload):
+    """The text report as the per-row f-string loops wrote it."""
+    if payload["command"] == "coeffs":
+        lines = [f"n a b c (n <= {payload['n_max']})"]
+        lines += [f"{n} {a} {b} {c}" for n, a, b, c in payload["rows"]]
+        return "\n".join(lines + [""])
+    spec = "*".join(f"eta({s}t)^{e}" for s, e in payload["spec_terms"])
+    lines = [f"expansion of {spec} to n_max={payload['n_max']}"]
+    if not payload["exponent_integral"]:
+        lines.append(f"leading exponent {payload['order24']}/24 is fractional; "
+                     "rows are exponents in units of 1/24")
+    lines += [f"{payload['row_key']}={n}: {c}" for n, c in payload["rows"]]
+    for n, d in payload.get("known_discrepancies", {}).items():
+        lines.append(f"note: n={n} computed {d['computed']} but tabulated "
+                     f"{d['tabulated']} in the published table (known misprint)")
+    return "\n".join(lines + [""])
+
+
+def _csv_writer_text(payload):
+    """The CSV report as csv.writer.writerows wrote its rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    coeffs = payload["command"] == "coeffs"
+    writer.writerow(["n", "a", "b", "c"] if coeffs else [payload["row_key"], "coefficient"])
+    writer.writerows(payload["rows"])
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_payloads())
+def test_int_row_tables_match_the_general_renderers(payload):
+    # three rows per template, so seven rows cross two chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_ROW_CHUNK", 3)
+        assert cli._render_json(payload) == json.dumps(payload, indent=2) + "\n"
+        assert cli._render_text(payload) == _per_row_text(payload)
+        assert cli._render_csv(payload) == _csv_writer_text(payload)
 
 
 _TABLE_MODULES = ("cycloeta.lseries", "cycloeta.quadfield", "cycloeta.analysis")

@@ -8,8 +8,8 @@ Exit codes: 0 success / check verified, 1 a mathematical check failed,
 2 usage error, 3 out of memory (one stderr line naming the n-max, or p for
 nondecomp).  uniqueness exits 1 both when c(1) != 0 and when the search
 ends without a witness ("hypotheses unverified"); the payload's c1_zero
-and witness_indices tell the two apart.  CYCLOETA_N_MAX sets the default
-truncation when --n-max is not given.
+and witness_indices tell the two apart.  Without --n-max, CYCLOETA_N_MAX
+sets the truncation, else the command's _COMMANDS default.
 """
 
 import argparse
@@ -25,8 +25,18 @@ from .arith import CheckFailure
 
 ENV_N_MAX = "CYCLOETA_N_MAX"
 
-_DEFAULT_N_MAX = {"expand": 50, "coeffs": 50, "verify": 2000, "positivity": 2000,
-                  "uniqueness": 300, "scan": 500}
+# each command's help line, its default --n-max (None: it takes no --n-max)
+# and the payload key whose falsity makes its exit code 1 (None: it checks
+# nothing)
+_COMMANDS = {
+    "expand": ("q-expansion of an eta quotient", 50, None),
+    "coeffs": ("a(n), b(n), c(n) tables", 50, None),
+    "verify": ("c = (a-b)/8 against the direct q-expansion", 2000, "identity_holds"),
+    "positivity": ("c(n) > 0 and case inequalities", 2000, "verified"),
+    "nondecomp": ("non-decomposability witness", None, "valid"),
+    "uniqueness": ("decomposition uniqueness hypotheses", 300, "verified"),
+    "scan": ("non-negativity scan over levels", 500, None),
+}
 
 
 def _parse_spec_string(text):
@@ -52,50 +62,23 @@ def build_parser():
         "eta quotients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, with_n_max=True):
+    for name, (summary, n_max, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        if name in ("expand", "uniqueness"):
+            sp.add_argument("--h", type=int, default=None, help="cyclotomic level")
+            sp.add_argument("--spec", default=None, help="explicit scale:exp,... map")
+            sp.add_argument("--corpus", default=None, choices=sorted(etaprod.CORPUS))
+        elif name == "nondecomp":
+            sp.add_argument("--p", type=int, required=True, help="prime level >= 11")
+        elif name == "scan":
+            sp.add_argument("--h-max", type=int, default=7)
         # a handler's usage error is reported by its own command's parser
         sp.set_defaults(command_parser=sp)
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--output", metavar="PATH", default=None)
-        if with_n_max:
-            sp.add_argument(
-                "--n-max",
-                type=int,
-                default=None,
-                help=f"truncation degree (default from ${ENV_N_MAX} or "
-                "per-command default)",
-            )
-
-    sp = sub.add_parser("expand", help="q-expansion of an eta quotient")
-    sp.add_argument("--h", type=int, default=None, help="cyclotomic level")
-    sp.add_argument("--spec", default=None, help="explicit scale:exp,... map")
-    sp.add_argument("--corpus", default=None, choices=sorted(etaprod.CORPUS))
-    add_common(sp)
-
-    sp = sub.add_parser("coeffs", help="a(n), b(n), c(n) tables")
-    add_common(sp)
-
-    sp = sub.add_parser("verify", help="c = (a-b)/8 against the direct q-expansion")
-    add_common(sp)
-
-    sp = sub.add_parser("positivity", help="c(n) > 0 and case inequalities")
-    add_common(sp)
-
-    sp = sub.add_parser("nondecomp", help="non-decomposability witness")
-    sp.add_argument("--p", type=int, required=True, help="prime level >= 11")
-    add_common(sp, with_n_max=False)
-
-    sp = sub.add_parser("uniqueness", help="decomposition uniqueness hypotheses")
-    sp.add_argument("--h", type=int, default=None)
-    sp.add_argument("--spec", default=None)
-    sp.add_argument("--corpus", default=None, choices=sorted(etaprod.CORPUS))
-    add_common(sp)
-
-    sp = sub.add_parser("scan", help="non-negativity scan over levels")
-    sp.add_argument("--h-max", type=int, default=7)
-    add_common(sp)
-
+        if n_max is not None:
+            sp.add_argument("--n-max", type=int, default=None,
+                            help=f"truncation degree (default ${ENV_N_MAX}, else {n_max})")
     return parser
 
 
@@ -113,7 +96,7 @@ def _resolve_n_max(args):
             except ValueError:
                 raise ValueError(f"${ENV_N_MAX}={env!r} is not an integer") from None
         else:
-            n_max = _DEFAULT_N_MAX[args.command]
+            n_max = _COMMANDS[args.command][1]
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
     return n_max
@@ -135,8 +118,8 @@ def _resolve_spec(args):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: _cmd_<command>(args) returns (payload, exit_code); an
-# analysis check's report dict is the payload's tail, keys in payload order
+# command handlers: _cmd_<command>(args) returns the payload; an analysis
+# check's report dict is the payload's tail, keys in payload order
 
 def _spec_head(args):
     """The spec and the payload head shared by expand and uniqueness."""
@@ -170,7 +153,7 @@ def _cmd_expand(args):
         # the table is merged under the rows, so an uncovered n is no discrepancy
         computed = {**reference.TABULATED_C50, **dict(rows)}
         payload["known_discrepancies"] = reference.tabulation_discrepancies(computed)
-    return payload, 0
+    return payload
 
 
 def _cmd_coeffs(args):
@@ -179,7 +162,7 @@ def _cmd_coeffs(args):
     n_max = _resolve_n_max(args)
     c, av, bv = lseries.c_table(n_max, at=range(1, n_max + 1))
     rows = list(zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None)))
-    return {"command": "coeffs", "n_max": n_max, "rows": rows}, 0
+    return {"command": "coeffs", "n_max": n_max, "rows": rows}
 
 
 def _cmd_verify(args):
@@ -206,21 +189,19 @@ def _cmd_verify(args):
     if first_mismatch is not None:
         payload["identity_value"] = identity[first_mismatch]
         payload["expansion_value"] = expansion[first_mismatch]
-    return payload, 0 if first_mismatch is None else 1
+    return payload
 
 
 def _cmd_positivity(args):
     from . import analysis
 
-    payload = {"command": "positivity", **analysis.check_positivity(_resolve_n_max(args))}
-    return payload, 0 if payload["verified"] else 1
+    return {"command": "positivity", **analysis.check_positivity(_resolve_n_max(args))}
 
 
 def _cmd_nondecomp(args):
     from . import analysis
 
-    payload = {"command": "nondecomp", **analysis.nondecomp_witness(args.p)}
-    return payload, 0 if payload["valid"] else 1
+    return {"command": "nondecomp", **analysis.nondecomp_witness(args.p)}
 
 
 def _cmd_uniqueness(args):
@@ -231,7 +212,7 @@ def _cmd_uniqueness(args):
     series = etaprod.expand(spec, n_max)
     values = lseries.expansion_values(series, n_max)
     payload.update(analysis.uniqueness_hypotheses(values))
-    return payload, 0 if payload["verified"] else 1
+    return payload
 
 
 def _cmd_scan(args):
@@ -241,7 +222,7 @@ def _cmd_scan(args):
         raise ValueError("--h-max must be >= 2")
     n_max = _resolve_n_max(args)
     entries = analysis.conjecture_scan(args.h_max, n_max)
-    return {"command": "scan", "h_max": args.h_max, "n_max": n_max, "entries": entries}, 0
+    return {"command": "scan", "h_max": args.h_max, "n_max": n_max, "entries": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +366,7 @@ def run(argv=None):
     # over the module global after import is the one that runs
     try:
         try:
-            payload, code = globals()["_cmd_" + args.command](args)
+            payload = globals()["_cmd_" + args.command](args)
         except ValueError as exc:
             args.command_parser.error(str(exc))
         except CheckFailure as exc:  # any other exception is a bug
@@ -409,7 +390,8 @@ def run(argv=None):
             return 2
     else:
         sys.stdout.write(text)
-    return code
+    verdict = _COMMANDS[args.command][2]
+    return 1 if verdict and not payload[verdict] else 0
 
 
 def main():

@@ -248,16 +248,17 @@ def c_table(n_max, at=None):
     alive, and b is built before a, so b_table's split traces are freed
     before both tables are.  An n_max past WORD_N_MAX is refused
     (ValueError) before anything is allocated.  Given an iterable `at` of
-    indices, returns (table, [a(n) for n in at], [b(n) for n in at])
-    instead, the values read before c overwrites a; `at` is consumed only
-    once both tables exist."""
+    indices, returns (table, a(n) for n in at, b(n) for n in at) instead,
+    the values read before c overwrites a and held as array('q') words;
+    `at` is consumed only once both tables exist."""
+    from array import array
+
     bv = b_table(n_max).values
     av = a_table(n_max).values
     if at is not None:
-        a_at, b_at = [], []
-        for n in at:
-            a_at.append(av[n])
-            b_at.append(bv[n])
+        at = array("q", at)
+        a_at = array("q", map(av.__getitem__, at))
+        b_at = array("q", map(bv.__getitem__, at))
     _eighths(av, bv)
     c = CoeffTable("C", n_max, av)
     return c if at is None else (c, a_at, b_at)
@@ -266,8 +267,9 @@ def c_table(n_max, at=None):
 # the byte of a 64-bit word that holds its low bits
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7
 _LOW_3_BITS = bytes(i & 7 for i in range(256))
-# words per _eighths step: a step's int list is alive at the peak of
-# positivity --n-max 1000000, which reads 0.24 MB higher at 1 << 14
+# words per _eighths step, each step an int list of that many values;
+# positivity --n-max 1000000 peaks before this step, while c_table gathers
+# its `at` words, and reads the same peak at 1 << 10, 1 << 12 and 1 << 14
 _CHUNK = 1 << 12
 
 

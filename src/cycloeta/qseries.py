@@ -141,6 +141,16 @@ def _offset_getter(offsets):
     return itemgetter(*idx)
 
 
+def _grouped_getters(terms):
+    """[(c, getter)]: the (offset, coefficient) terms with c != 0 grouped by
+    coefficient, one _offset_getter over each group's offsets."""
+    groups = {}
+    for g, cg in terms:
+        if cg:
+            groups.setdefault(cg, []).append(g)
+    return [(cg, _offset_getter(gs)) for cg, gs in groups.items()]
+
+
 def _solve_quotient(num, den_terms, den_lead, n):
     """First n coefficients of num / den, where den = den_lead + sparse tail.
 
@@ -175,11 +185,7 @@ def _solve_plain(out, num, den_terms, n):
     for lo, hi, active in _active_segments(den_terms, n):
         if hi <= start:
             continue
-        groups = {}
-        for g, cg in active:
-            if cg:
-                groups.setdefault(cg, []).append(g)
-        getters = [(cg, _offset_getter(gs)) for cg, gs in groups.items()]
+        getters = _grouped_getters(active)
         for k in range(max(lo, start), hi):
             acc = num[k]
             for cg, get in getters:
@@ -234,20 +240,17 @@ def _solve_packed(num, den_terms, n):
     the plain loop.
     """
     B = _BLOCK
-    near, far, weight = {}, {}, 0
+    far, weight = {}, 0
     for g, cg in den_terms:
-        if cg and g < n:
-            if g < B:
-                near.setdefault(cg, []).append(g)
-            else:
-                q, r = divmod(g, B)
-                far.setdefault(r, []).append((q, cg))
-                weight += abs(cg)
+        if cg and B <= g < n:
+            q, r = divmod(g, B)
+            far.setdefault(r, []).append((q, cg))
+            weight += abs(cg)
     if not far or weight * _VALUE_BOUND >= _FIELD_BIAS:
         return _solve_plain([], num, den_terms, n)
     out = _solve_plain([], num, den_terms, B)
     append = out.append
-    getters = [(cg, _offset_getter(gs)) for cg, gs in near.items()]
+    getters = _grouped_getters(t for t in den_terms if t[0] < B)
     shifts = [(64 * r, targets) for r, targets in sorted(far.items())]
     blocks = -(-n // B)
     pending = [0] * blocks  # far sums sent ahead to each block
@@ -361,11 +364,7 @@ def _sparse_mul(dense, tail, n):
     append = out.append
     pop = dense.pop
     for lo, hi, active in reversed(list(_active_segments(tail, n))):
-        groups = {}
-        for g, cg in active:
-            if cg:
-                groups.setdefault(cg, []).append(g)
-        getters = [(cg, _offset_getter(gs)) for cg, gs in groups.items()]
+        getters = _grouped_getters(active)
         for _ in range(lo, hi):
             acc = pop()
             for cg, get in getters:

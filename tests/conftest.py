@@ -1,4 +1,10 @@
+import os
 import re
+
+# the suite states every truncation it means: a CYCLOETA_N_MAX exported by
+# the calling shell would move the CLI's defaults, in process and in the
+# child processes that inherit os.environ
+os.environ.pop("CYCLOETA_N_MAX", None)
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::test_(criterion_\d+)_(\w+)")
 

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism, env override."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -231,6 +232,29 @@ def test_env_var_sets_default_n_max(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["coeffs"])
     assert exc.value.code == 2
+
+
+def test_command_table_declares_every_command(capsys, monkeypatch):
+    # a command is one cli._COMMANDS row: its subparser, its handler, its
+    # default --n-max (named in its help) and the key its exit code reads
+    monkeypatch.delenv(cli.ENV_N_MAX, raising=False)
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    handlers = {name[len("_cmd_"):] for name in dir(cli) if name.startswith("_cmd_")}
+    assert set(sub.choices) == handlers == set(cli._COMMANDS)
+    assert len(cli._COMMANDS) == 7
+    for command, (_, n_max, verdict) in cli._COMMANDS.items():
+        options = {o: a for a in sub.choices[command]._actions for o in a.option_strings}
+        if n_max is None:
+            assert "--n-max" not in options, command
+        else:
+            assert f"else {n_max})" in options["--n-max"].help, command
+        argv = [command, "--format", "json", *(["--p", "11"] * (command == "nondecomp"))]
+        code, out, _ = capture(capsys, argv)
+        payload = json.loads(out)
+        assert payload.get("n_max") == n_max, command
+        assert verdict is None or verdict in payload, command
+        assert code == (1 if verdict and not payload[verdict] else 0), command
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

@@ -12,7 +12,8 @@ from itertools import combinations, compress, islice, repeat
 from operator import le
 
 # lseries, and with it quadfield, is imported by the checks that read its
-# tables, so a scan loads neither
+# tables (positivity); the expansion-side checks read their windows through
+# etaprod alone
 from . import etaprod
 from .arith import epsilon, is_prime, primes_up_to
 
@@ -152,14 +153,12 @@ def nondecomp_witness(p):
     """
     if p < 11 or not is_prime(p):
         raise ValueError("the argument applies to primes p >= 11 only")
-    from . import lseries
-
     bound = (p * p - 1) // 24
     hi = bound + p - 1  # last index that must be nonzero
     series = etaprod.expand(etaprod.cyclotomic_spec(p), hi)
-    table = lseries.coeff_table_from_series(series, hi)
-    zero_ok = all(table[n] == 0 for n in range(1, bound))
-    nonzero_ok = all(table[n] != 0 for n in range(bound, hi + 1))
+    values = etaprod.expansion_values(series, hi)
+    zero_ok = not any(islice(values, 1, bound))
+    nonzero_ok = all(islice(values, bound, hi + 1))
     m = next((m for m in range(3, bound, 2) if bound <= 2 * m < bound + p), None)
     return {"p": p, "bound": bound, "m": m, "zero_range_ok": zero_ok,
             "nonzero_range_ok": nonzero_ok, "valid": m is not None and zero_ok and nonzero_ok}

@@ -169,10 +169,9 @@ def _cmd_verify(args):
     from . import lseries
 
     n_max = _resolve_n_max(args)
-    # both tables hold 64-bit words (or lists, past 64 bits), which compare
-    # in one C-level pass; the expansion is built first, so the identity
-    # table is not held through the expansion's peak (1.2 MB less at 1e5)
-    lseries._check_word_range(n_max)
+    # both tables hold 64-bit words, which compare in one C-level pass; the
+    # expansion is built first, so the identity table is not held through
+    # the expansion's peak (1.2 MB less at 1e5)
     expansion = lseries.c_table_from_expansion(n_max)
     identity = lseries.c_table(n_max)
     first_mismatch = None
@@ -205,12 +204,11 @@ def _cmd_nondecomp(args):
 
 
 def _cmd_uniqueness(args):
-    from . import analysis, lseries
+    from . import analysis
 
     spec, payload = _spec_head(args)
     n_max = payload["n_max"]
-    series = etaprod.expand(spec, n_max)
-    values = lseries.expansion_values(series, n_max)
+    values = etaprod.expansion_values(etaprod.expand(spec, n_max), n_max)
     payload.update(analysis.uniqueness_hypotheses(values))
     return payload
 

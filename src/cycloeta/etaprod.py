@@ -1,5 +1,5 @@
-"""Eta quotients prod_i eta(i*tau)^e(i) as formal specs, and their exact
-q-expansions.
+"""Eta quotients prod_i eta(i*tau)^e(i) as formal specs, their exact
+q-expansions, and the read-out of an expansion window into values by n.
 
 The distinguished family here is the cyclotomic one: for h >= 2 the quotient
 eta(h*tau)^phi(h) / prod_{d|h} eta(d*tau)^mu(d), whose exponent map comes out
@@ -139,6 +139,24 @@ def expand(spec, n_max):
     o24 = spec.order24()
     n_coeff = max((24 * n_max - o24) // 24 + 1, 1)
     return QSeries(_product([(s, None, e) for s, e in spec.terms], n_coeff), o24)
+
+
+def expansion_values(series, n_max):
+    """Raw value list [0, v(1), ..., v(n_max)] of an integer-exponent
+    expansion, without the kind constraints of lseries.CoeffTable (the
+    leading degree may be 1, or past n_max)."""
+    if series.order24 % 24:
+        raise ValueError("series has fractional exponents; rescale the spec first")
+    lead = series.order24 // 24
+    if lead < 1:
+        raise ValueError("expansion must start at degree >= 1")
+    out = [0] * (n_max + 1)
+    for i, c in enumerate(series.coeffs):
+        n = lead + i
+        if n > n_max:
+            break
+        out[n] = c
+    return out
 
 
 _BINOMIAL = [(1, -1)]

@@ -12,6 +12,7 @@ route.  All arithmetic is in exact ints.
 
 import math
 import sys
+from array import array
 from functools import lru_cache
 from itertools import repeat
 from operator import rshift, sub
@@ -26,6 +27,7 @@ from .arith import (
     primes_up_to,
     sieve_multiplicative,
 )
+from .etaprod import expansion_values
 from .quadfield import (
     InconsistencyError,
     hecke_weight,
@@ -62,27 +64,14 @@ def _check_word_range(n_max):
         )
 
 
-def _words(values):
-    """values as an array('q') (8 bytes a value against about 40 in a list
-    of ints), or as a list when a value does not fit in 64 bits.  An
-    array('q') is kept, not copied: a copy raised positivity's 1e6 peak
-    from 54 to 65 MB."""
-    from array import array  # off the start-up path of commands with no table
-
-    if isinstance(values, array) and values.typecode == "q":
-        return values
-    try:
-        return array("q", values)
-    except OverflowError:
-        return list(values)
-
-
 class CoeffTable(Record):
     """Coefficient table values[1..n_max]; values[0] is unused and 0.
 
     kind "A" and "B" tables are multiplicative with values[1] = 1;
     kind "C" (the eta-quotient coefficients) has values[1] = 0.  values
-    is an array('q') when every value fits in 64 bits, else a list.
+    are held as an array('q'), 8 bytes a value against about 40 in a list
+    of ints; a value past 64 bits raises OverflowError.  An array('q') is
+    kept, not copied: a copy raised positivity's 1e6 peak from 54 to 65 MB.
     """
 
     __slots__ = ("kind", "n_max", "values")
@@ -95,7 +84,9 @@ class CoeffTable(Record):
         want = 0 if kind == "C" else 1
         if values[1] != want:
             raise ValueError(f"kind {kind} requires values[1] == {want}")
-        super().__init__(kind, n_max, _words(values))
+        if not (isinstance(values, array) and values.typecode == "q"):
+            values = array("q", values)
+        super().__init__(kind, n_max, values)
 
     def __getitem__(self, n):
         if not 1 <= n <= self.n_max:
@@ -251,8 +242,6 @@ def c_table(n_max, at=None):
     indices, returns (table, a(n) for n in at, b(n) for n in at) instead,
     the values read before c overwrites a and held as array('q') words;
     `at` is consumed only once both tables exist."""
-    from array import array
-
     bv = b_table(n_max).values
     av = a_table(n_max).values
     if at is not None:
@@ -286,8 +275,6 @@ def _eighths(av, bv):
     do, so the check compares two byte strings; the exact quotients are
     then written a chunk at a time, at C speed (array('q') parses a list
     once a value, an iterator twice)."""
-    from array import array
-
     low_a, low_b = _low_3_bits(av), _low_3_bits(bv)
     if low_a != low_b:
         n = next(n for n, (x, y) in enumerate(zip(low_a, low_b)) if x != y)
@@ -309,24 +296,9 @@ def coeff_table_from_series(series, n_max):
 def c_table_from_expansion(n_max):
     """The independent pipeline: expand the eta quotient itself.  The
     expansion holds at least its leading term q^2, so that n_max = 1
-    reads c(1) = 0."""
+    reads c(1) = 0.  An n_max past WORD_N_MAX is refused (ValueError)
+    before anything is expanded."""
+    _check_word_range(n_max)
     series = etaprod.expand(etaprod.cyclotomic_spec(7), n_max)
     return coeff_table_from_series(series, n_max)
 
-
-def expansion_values(series, n_max):
-    """Raw value list [0, v(1), ..., v(n_max)] of an integer-exponent
-    expansion, without the kind constraints of CoeffTable (the leading
-    degree may be 1, or past n_max)."""
-    if series.order24 % 24:
-        raise ValueError("series has fractional exponents; rescale the spec first")
-    lead = series.order24 // 24
-    if lead < 1:
-        raise ValueError("expansion must start at degree >= 1")
-    out = [0] * (n_max + 1)
-    for i, c in enumerate(series.coeffs):
-        n = lead + i
-        if n > n_max:
-            break
-        out[n] = c
-    return out

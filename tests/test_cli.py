@@ -687,9 +687,10 @@ def test_verify_never_imports_numpy():
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_verify_compares_values_that_overflow_words(capsys, monkeypatch):
-    # a value past 64 bits keeps its list; the lists still compare exactly
-    big = [0, 0, 1 << 70, 5]
+def test_verify_reports_the_first_mismatch_of_word_tables(capsys, monkeypatch):
+    # the two word tables compare in one pass; the walk names the first n
+    # where they differ, with values up to the top of a word
+    big = [0, 0, (1 << 63) - 1, 5]
 
     def table(values):
         return lambda n_max: lseries.CoeffTable("C", 3, values)
@@ -697,14 +698,15 @@ def test_verify_compares_values_that_overflow_words(capsys, monkeypatch):
     monkeypatch.setattr(lseries, "c_table", table(big))
     monkeypatch.setattr(lseries, "c_table_from_expansion", table(list(big)))
     assert capture(capsys, ["verify", "--format", "json"])[0] == 0
-    monkeypatch.setattr(lseries, "c_table_from_expansion", table([0, 0, 1 << 70, 6]))
+    monkeypatch.setattr(lseries, "c_table_from_expansion",
+                        table([0, 0, (1 << 63) - 1, 6]))
     code, out, _ = capture(capsys, ["verify", "--format", "json"])
     payload = json.loads(out)
     assert code == 1
     assert (payload["first_mismatch"], payload["identity_value"]) == (3, 5)
     monkeypatch.setattr(lseries, "c_table_from_expansion", table([0, 0, 7, 5]))
     payload = json.loads(capture(capsys, ["verify", "--format", "json"])[1])
-    assert (payload["first_mismatch"], payload["identity_value"]) == (2, 1 << 70)
+    assert (payload["first_mismatch"], payload["identity_value"]) == (2, (1 << 63) - 1)
 
 
 @pytest.mark.parametrize("command", ["coeffs", "positivity", "verify"])
@@ -838,16 +840,18 @@ def test_cli_import_leaves_json_and_csv_unloaded():
 
 
 def test_scan_loads_no_table_module():
-    # a scan expands the family and reads no table: lseries and quadfield
-    # stay unloaded
-    probe = (
-        "import sys, cycloeta.cli; "
-        "cycloeta.cli.run(['scan', '--h-max', '4', '--n-max', '20']); "
-        f"print(sorted(set({_TABLE_MODULES!r}) & set(sys.modules)))"
-    )
-    proc = _run([sys.executable, "-c", probe])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "['cycloeta.analysis']"
+    # a scan, uniqueness and nondecomp expand eta quotients and read no
+    # table: lseries, quadfield and array stay unloaded
+    for argv in (["scan", "--h-max", "4", "--n-max", "20"],
+                 ["uniqueness", "--n-max", "100"], ["nondecomp", "--p", "13"]):
+        probe = (
+            "import sys, cycloeta.cli; "
+            f"cycloeta.cli.run({argv!r}); "
+            f"print(sorted(set({(*_TABLE_MODULES, 'array')!r}) & set(sys.modules)))"
+        )
+        proc = _run([sys.executable, "-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "['cycloeta.analysis']", argv
 
 
 def test_perfbench_spans_install():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycloeta import arith, lseries, quadfield
+from cycloeta import arith, etaprod, lseries, quadfield
+from cycloeta.analysis import nondecomp_witness
 from cycloeta.arith import epsilon, primes_up_to
 from cycloeta.etaprod import cyclotomic_spec, expand
 from cycloeta.lseries import (
@@ -266,10 +267,11 @@ def test_every_identity_table_holds_words():
     assert c_table(100) == expansion
 
 
-def test_coeff_table_keeps_a_list_past_64_bits():
-    big = CoeffTable("C", 3, [0, 0, -(1 << 63) - 1, 5])
-    assert type(big.values) is list
-    assert big[2] == -(1 << 63) - 1
+def test_coeff_table_refuses_values_past_64_bits():
+    with pytest.raises(OverflowError):
+        CoeffTable("C", 3, [0, 0, -(1 << 63) - 1, 5])
+    with pytest.raises(OverflowError):
+        CoeffTable("C", 3, [0, 0, 1 << 63, 5])
     edge = CoeffTable("C", 3, [0, 0, -(1 << 63), (1 << 63) - 1])
     assert edge.values == array("q", [0, 0, -(1 << 63), (1 << 63) - 1])
     # an array is kept as the table's storage, not copied
@@ -277,14 +279,14 @@ def test_coeff_table_keeps_a_list_past_64_bits():
     assert CoeffTable("A", 2, words).values is words
 
 
-@pytest.mark.parametrize("p,storage", [(401, array), (409, list)])
-def test_nondecomp_window_falls_back_to_a_list_past_64_bits(p, storage):
-    # the partition-like values of the level-p window pass 2^63 at p = 409
+@pytest.mark.parametrize("p", [401, 409])
+def test_nondecomp_window_holds_values_past_64_bits(p):
+    # the partition-like values of the level-p window pass 2^63 at p = 409;
+    # nondecomp reads them as ints, through no table
     hi = (p * p - 1) // 24 + p - 1
-    series = expand(cyclotomic_spec(p), hi)
-    table = coeff_table_from_series(series, hi)
-    assert type(table.values) is storage
-    assert list(table.values) == expansion_values(series, hi)
+    values = etaprod.expansion_values(expand(cyclotomic_spec(p), hi), hi)
+    assert (max(map(abs, values)) >= 1 << 63) == (p == 409)
+    assert nondecomp_witness(p)["valid"]
 
 
 def test_word_bound_is_the_64_bit_limit_of_a():
@@ -302,7 +304,8 @@ def test_tables_past_the_word_bound_refuse_before_allocating(monkeypatch):
                          (lseries, "split_traces"), (quadfield, "split_traces")):
         monkeypatch.setattr(module, name, refuse)
     n_max = lseries.WORD_N_MAX + 1
-    for build in (a_table, b_table, c_table):
+    monkeypatch.setattr(etaprod, "expand", refuse)
+    for build in (a_table, b_table, c_table, c_table_from_expansion):
         with pytest.raises(ValueError, match="64-bit words"):
             build(n_max)
 

@@ -880,7 +880,7 @@ def test_perfbench_spans_wrap_a_several_factor_expand():
         "spans.install(tracer)\n"
         "from cycloeta import cli\n"
         "code = cli.run(['expand', '--spec', '6:2,3:4,2:1,1:-2', '--n-max', '300'])\n"
-        "names = ('etaprod.expand', 'qseries.dispatch', 'qseries.schoolbook', 'qseries.solve')\n"
+        "names = ('etaprod.expand', 'qseries.dispatch', 'qseries.kronecker', 'qseries.solve')\n"
         "assert all(tracer.calls[name] for name in names), tracer.calls\n"
         "sys.exit(code)\n"
     )

@@ -5,8 +5,8 @@ oracle (multiply Euler factors, multiply by the inverse series) before the
 division-based `expand` existed.  `literal_product` shares no kernel with
 `etaprod._product`: it applies one binomial (1 - q^k) at a time.
 `dense_family_series` builds the cyclotomic family by repeated schoolbook
-products with one binomial, sharing only the quotient solve and the
-schoolbook kernel with `_product`.
+products with one binomial, sharing only the quotient solve with
+`_product`, whose products are Kronecker products.
 """
 
 from math import prod
@@ -282,6 +282,27 @@ def test_expand_h7_never_needs_dense_products(monkeypatch):
     series = expand(cyclotomic_spec(7), n)
     got = lseries.coeff_table_from_series(series, n)
     assert got.values[1:] == lseries.c_table(n).values[1:]
+
+
+def test_every_dense_product_is_a_kronecker_product(monkeypatch):
+    # _mul_lists has one kernel: no production product, at family sizes or
+    # in the cyclotomic check, reaches the schoolbook reference
+    def refuse(*args):
+        raise AssertionError("schoolbook product on a production route")
+
+    sizes = []
+    real = qseries._kronecker_mul
+
+    def spy(a, b, n):
+        sizes.append(n)
+        return real(a, b, n)
+
+    monkeypatch.setattr(qseries, "_schoolbook_mul", refuse)
+    monkeypatch.setattr(qseries, "_kronecker_mul", spy)
+    expand(EtaQuotientSpec(((6, 2), (3, 4), (2, 1), (1, -2))), 300)
+    expand(EtaQuotientSpec(((1, 4), (2, 3), (5, 2), (7, -1))), 3000)
+    assert cyclotomic_check(12, 200)
+    assert sizes, "no Kronecker product ran"
 
 
 @given(st.integers(1, 12), st.integers(1, 400))

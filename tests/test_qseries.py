@@ -91,11 +91,20 @@ def test_empty_window_is_refused():
 small_series = st.lists(st.integers(-50, 50), min_size=1, max_size=18)
 
 
-@given(small_series, small_series)
-@settings(max_examples=60, deadline=None)
-def test_kronecker_matches_schoolbook(xs, ys):
-    n = min(len(xs), len(ys))
-    assert _kronecker_mul(xs, ys, n) == _schoolbook_mul(xs[:n], ys[:n], n)
+@given(
+    st.one_of(small_series, st.lists(st.just(0), min_size=1, max_size=18)),
+    small_series,
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_kronecker_matches_schoolbook(xs, ys, data):
+    # n reaches past either operand and past the full convolution; through
+    # _mul_lists the operands may also be longer than n
+    n = data.draw(st.integers(1, len(xs) + len(ys) + 1), label="n")
+    want = _schoolbook_mul(xs, ys, n)
+    assert _kronecker_mul(xs[:n], ys[:n], n) == want
+    assert _kronecker_mul(ys[:n], xs[:n], n) == want
+    assert _mul_lists(xs, ys, n) == want
 
 
 def test_kronecker_large_magnitudes():
@@ -104,9 +113,9 @@ def test_kronecker_large_magnitudes():
     assert _kronecker_mul(xs, ys, 40) == _schoolbook_mul(xs, ys, 40)
 
 
-def test_big_mul_dispatch_consistency(monkeypatch):
-    # _mul_lists sends nnz * n above 2,000,000 to the Kronecker kernel and
-    # the rest to schoolbook; one case on each side, against schoolbook
+def test_mul_lists_is_one_kronecker_product(monkeypatch):
+    # _mul_lists sends every product, large (nnz * n about 9e6) or small
+    # (about 1e6), to the one Kronecker kernel; each against schoolbook
     xs = [((i * 2654435761) % 4001) - 2000 for i in range(3000)]
     ys = [((i * 40503) % 997) - 498 for i in range(3000)]
     kron = []
@@ -117,9 +126,9 @@ def test_big_mul_dispatch_consistency(monkeypatch):
         return real(a, b, n)
 
     monkeypatch.setattr(qseries, "_kronecker_mul", spy)
-    for n in (3000, 1000):  # nnz * n about 9e6 and 1e6
+    for n in (3000, 1000):
         assert _mul_lists(xs, ys, n) == _schoolbook_mul(xs[:n], ys[:n], n)
-    assert kron == [3000]
+    assert kron == [3000, 1000]
 
 
 def test_immutability():

@@ -8,8 +8,7 @@ than a bare bool, so callers can see what was actually verified.
 """
 
 import math
-from itertools import combinations, compress, islice, repeat
-from operator import le
+from itertools import combinations, islice
 
 # lseries, and with it quadfield, is imported by the checks that read its
 # tables (positivity); the expansion-side checks read their windows through
@@ -77,9 +76,7 @@ def check_positivity(n_max):
     c, a_at, b_at = lseries.c_table(
         n_max, at=(q for _, _, q in _prime_powers(n_max))
     )
-    failures = list(
-        compress(range(2, n_max + 1), map(le, islice(c.values, 2, None), repeat(0)))
-    )
+    failures = lseries.nonpositive_indices(c.values, 2)
     del c
     casewise = [
         _margin(p, k, a, b)

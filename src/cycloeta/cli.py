@@ -5,10 +5,11 @@ Formats: text (default), json, csv.  Output for a fixed command line is
 byte-identical across runs; reports carry no timestamps.
 
 Exit codes: 0 success / check verified, 1 a mathematical check failed,
-2 usage error, 3 out of memory (one stderr line naming the n-max, or p for
-nondecomp).  uniqueness exits 1 both when c(1) != 0 and when the search
-ends without a witness ("hypotheses unverified"); the payload's c1_zero
-and witness_indices tell the two apart.  Without --n-max, CYCLOETA_N_MAX
+2 usage error or an unwritable --output or stdout (one stderr line), 3 out
+of memory (one stderr line naming the n-max, or p for nondecomp).
+uniqueness exits 1 both when c(1) != 0 and when the search ends without a
+witness ("hypotheses unverified"); the payload's c1_zero and
+witness_indices tell the two apart.  Without --n-max, CYCLOETA_N_MAX
 sets the truncation, else the command's _COMMANDS default.
 """
 
@@ -371,23 +372,26 @@ def run(argv=None):
             print(f"mathematical check failed: {exc}", file=sys.stderr)
             return 1
         text = globals()["_render_" + args.format](payload)
+        try:
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            elif sys.stdout is None:  # descriptor 1 was closed at start-up
+                import errno
+
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            else:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+        except OSError as exc:
+            print(f"cycloeta: error: cannot write {args.output or 'stdout'}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     except MemoryError:
         size = f"p {args.p}" if args.command == "nondecomp" else f"n-max {_resolve_n_max(args)}"
         print(f"cycloeta {args.command}: error: out of memory ({size})", file=sys.stderr)
         return 3
 
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(
-                f"cycloeta: error: cannot write {args.output}: {exc.strerror or exc}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        sys.stdout.write(text)
     verdict = _COMMANDS[args.command][2]
     return 1 if verdict and not payload[verdict] else 0
 

@@ -150,12 +150,12 @@ def expansion_values(series, n_max):
     lead = series.order24 // 24
     if lead < 1:
         raise ValueError("expansion must start at degree >= 1")
-    out = [0] * (n_max + 1)
-    for i, c in enumerate(series.coeffs):
-        n = lead + i
-        if n > n_max:
-            break
-        out[n] = c
+    # zeros below lead, the window through n_max (the whole tuple, not a
+    # copy, when it ends there), zeros after it; a slice assignment into a
+    # list of zeros would hold a second list-sized buffer of the replaced items
+    out = [0] * min(lead, n_max + 1)
+    out += series.coeffs[:max(n_max + 1 - lead, 0)]
+    out += [0] * (n_max + 1 - len(out))
     return out
 
 

@@ -14,8 +14,6 @@ import math
 import sys
 from array import array
 from functools import lru_cache
-from itertools import repeat
-from operator import rshift, sub
 
 from . import etaprod
 from .arith import (
@@ -253,13 +251,24 @@ def c_table(n_max, at=None):
     return c if at is None else (c, a_at, b_at)
 
 
-# the byte of a 64-bit word that holds its low bits
-_LOW_BYTE = 0 if sys.byteorder == "little" else 7
+# Word passes: an array('q') chunk is read as one int of 64-bit fields, in
+# the machine's byte order, and each pass is a few whole-int operations on it
+_ORDER = sys.byteorder
+# the bytes of a 64-bit word that hold its low bits and its sign bit
+_LOW_BYTE, _HIGH_BYTE = (0, 7) if _ORDER == "little" else (7, 0)
 _LOW_3_BITS = bytes(i & 7 for i in range(256))
-# words per _eighths step, each step an int list of that many values;
-# positivity --n-max 1000000 peaks before this step, while c_table gathers
-# its `at` words, and reads the same peak at 1 << 10, 1 << 12 and 1 << 14
+# words per chunk, so each field int is 32 KB; positivity --n-max 1000000
+# peaks before these passes, while c_table gathers its `at` words
 _CHUNK = 1 << 12
+
+
+def _fields(word):
+    """The int of _CHUNK 64-bit fields, each holding `word`."""
+    return int.from_bytes(word.to_bytes(8, _ORDER) * _CHUNK, _ORDER)
+
+
+_TOP = _fields(1 << 63)
+_LOW_63 = _fields((1 << 63) - 1)
 
 
 def _low_3_bits(words):
@@ -272,16 +281,51 @@ def _eighths(av, bv):
     raising IdentityViolation at the first n where 8 does not divide.
 
     Words agree mod 8 exactly when their two's complement low three bits
-    do, so the check compares two byte strings; the exact quotients are
-    then written a chunk at a time, at C speed (array('q') parses a list
-    once a value, an iterator twice)."""
+    do, so the check compares two byte strings.  The quotients are then
+    (a >> 3) - (b >> 3), computed a chunk at a time in its field ints.
+    Flipping each sign bit makes a field w + 2^63, and shifting the int
+    right by 3 leaves (w >> 3) + 2^60 in each field, plus the next field's
+    low three bits at bits 61-63, which the check made equal in a and b,
+    so they cancel in the difference.  Each field difference plus 2^63
+    then lies in (0, 2^64), so no field borrows from the next, and
+    flipping the sign bit back leaves the quotient in two's complement.
+    A short last chunk leaves the full-width constant's extra fields 0.
+    """
     low_a, low_b = _low_3_bits(av), _low_3_bits(bv)
     if low_a != low_b:
         n = next(n for n, (x, y) in enumerate(zip(low_a, low_b)) if x != y)
         raise IdentityViolation(n, av[n], bv[n])
-    for i in range(0, len(av), _CHUNK):
-        j = i + _CHUNK
-        av[i:j] = array("q", list(map(rshift, map(sub, av[i:j], bv[i:j]), repeat(3))))
+    a_bytes, b_bytes = memoryview(av).cast("B"), memoryview(bv).cast("B")
+    size = len(a_bytes)
+    for i in range(0, size, 8 * _CHUNK):
+        j = i + 8 * _CHUNK
+        x = (int.from_bytes(a_bytes[i:j], _ORDER) ^ _TOP) >> 3
+        y = (int.from_bytes(b_bytes[i:j], _ORDER) ^ _TOP) >> 3
+        a_bytes[i:j] = ((x - y + _TOP) ^ _TOP).to_bytes(min(j, size) - i, _ORDER)
+
+
+def nonpositive_indices(words, start):
+    """The n >= start with words[n] <= 0 in an array('q'), ascending.
+
+    In a chunk's field int x, a field of s = (x & low63) + low63 has bit
+    63 set exactly when the field of x has some low bit set, and s stays
+    below 2^64, so no field carries into the next; (s | x) ^ x then
+    clears bit 63 where x's sign bit is set.  Bit 63 is left set exactly
+    in the fields whose word is > 0, so their high bytes are 0x80 or 0,
+    and the zeros are found by bytes.find."""
+    out = []
+    view = memoryview(words).cast("B")
+    for i in range(start, len(words), _CHUNK):
+        x = int.from_bytes(view[8 * i:8 * (i + _CHUNK)], _ORDER)
+        s = (x & _LOW_63) + _LOW_63
+        positive = ((s | x) ^ x) & _TOP
+        size = 8 * min(_CHUNK, len(words) - i)
+        signs = memoryview(positive.to_bytes(size, _ORDER))[_HIGH_BYTE::8].tobytes()
+        k = signs.find(0)
+        while k >= 0:
+            out.append(i + k)
+            k = signs.find(0, k + 1)
+    return out
 
 
 def coeff_table_from_series(series, n_max):

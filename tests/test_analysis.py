@@ -63,17 +63,24 @@ def test_check_positivity_margins_from_tables_match_closed_forms(n_max):
 
 def test_check_positivity_flags_injected_failure(monkeypatch):
     honest = lseries.c_table
+    # the scan starts at n = 2, so its first chunk boundary falls between
+    # k + 1 and k + 2; n_max = 10 lies in one chunk
+    k = lseries._CHUNK
+    injected = {10: {5: -2, 7: 0},
+                2 * k + 5: {2: 0, k: -1, k + 1: -(2**63), k + 2: 0, k + 3: -5,
+                            2 * k + 1: -1, 2 * k + 2: 0, 2 * k + 5: -7}}
 
     def tampered(n_max, at=None):
         c, a_at, b_at = honest(n_max, at=at)
-        c.values[5] = -2
-        c.values[7] = 0
+        for n, v in injected[n_max].items():
+            c.values[n] = v
         return c, a_at, b_at
 
     monkeypatch.setattr(lseries, "c_table", tampered)
-    report = check_positivity(10)
-    assert report["failures"] == [5, 7]
-    assert not report["verified"]
+    for n_max, bad in injected.items():
+        report = check_positivity(n_max)
+        assert report["failures"] == sorted(bad)
+        assert not report["verified"]
 
 
 def test_uniqueness_witness_validation():

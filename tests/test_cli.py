@@ -275,6 +275,77 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
     assert not path.exists()
 
 
+class _FailingWriter(io.StringIO):
+    """A stream whose write or flush raises `exc`."""
+
+    def __init__(self, exc, method):
+        super().__init__()
+        self.exc, self.method = exc, method
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.exc
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("exc, code, err", [
+    (BrokenPipeError(32, "Broken pipe"), 2, "cycloeta: error: cannot write stdout: Broken pipe\n"),
+    (OSError(28, "No space left on device"), 2,
+     "cycloeta: error: cannot write stdout: No space left on device\n"),
+    (MemoryError(), 3, "cycloeta verify: error: out of memory (n-max 5)\n"),
+], ids=["broken-pipe", "no-space", "out-of-memory"])
+def test_failed_stdout_write_keeps_the_exit_code_contract(capsys, monkeypatch, method,
+                                                          exc, code, err):
+    monkeypatch.setattr(sys, "stdout", _FailingWriter(exc, method))
+    assert run(["verify", "--n-max", "5"]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_out_of_memory_writing_output_exits_three(capsys, monkeypatch, tmp_path):
+    real_open = open
+
+    def failing_open(*args, **kwargs):
+        real_open(*args, **kwargs).close()
+        return _FailingWriter(MemoryError(), "write")
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    path = tmp_path / "out.txt"
+    code, out, err = capture(capsys, ["verify", "--n-max", "5", "--output", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "cycloeta verify: error: out of memory (n-max 5)\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n-max", "5"],
+                                  ["coeffs", "--n-max", "3000", "--format", "csv"]])
+def test_closed_stdout_pipe_exits_two(argv):
+    # the pipe's read end is closed before the child starts, so its first
+    # write (coeffs, past the stream's buffer) or its flush (verify) fails
+    # with EPIPE; nothing else is reported, at exit either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cycloeta", *argv], stdin=subprocess.DEVNULL,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=_child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "cycloeta: error: cannot write stdout: Broken pipe\n"
+
+
+def test_closed_stdout_descriptor_exits_two():
+    proc = subprocess.run([sys.executable, "-m", "cycloeta", "verify", "--n-max", "5"],
+                          stdin=subprocess.DEVNULL, stdout=None, stderr=subprocess.PIPE,
+                          text=True, env=_child_env(), preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == "cycloeta: error: cannot write stdout: Bad file descriptor\n"
+
+
 @pytest.mark.parametrize(
     "failure, reason",
     [

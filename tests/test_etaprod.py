@@ -27,6 +27,7 @@ from cycloeta.etaprod import (
     cyclotomic_poly_series,
     cyclotomic_spec,
     expand,
+    expansion_values,
 )
 from cycloeta.qseries import (
     QSeries,
@@ -104,6 +105,32 @@ def test_expand_below_the_leading_term_returns_it():
         below = -(-o24 // 24) - 1  # the greatest n_max with 24 * n_max < o24
         assert expand(spec, below) == QSeries([1], o24)
         assert expand(spec, below - 3) == QSeries([1], o24)
+
+
+def plain_expansion_values(series, n_max):
+    """expansion_values' read-out, one coefficient at a time."""
+    lead = series.order24 // 24
+    out = [0] * (n_max + 1)
+    for i, c in enumerate(series.coeffs):
+        if lead + i > n_max:
+            break
+        out[lead + i] = c
+    return out
+
+
+@given(st.integers(1, 60), st.lists(st.integers(-(2**70), 2**70), min_size=1,
+                                    max_size=60), st.integers(1, 80))
+@example(1, [5, -3, 2], 3)  # lead degree 1, window ends at n_max
+@example(4, [1, 2], 9)  # window shorter than n_max
+@example(4, [1, 2, 3, 4, 5, 6], 9)  # window ends at n_max
+@example(4, list(range(1, 20)), 9)  # window longer than n_max
+@example(9, [7, 8], 9)  # lead at n_max
+@example(10, [7, 8], 9)  # lead past n_max
+@example(30, [7], 1)
+@settings(max_examples=150, deadline=None)
+def test_expansion_values_matches_the_plain_read_out(lead, coeffs, n_max):
+    series = QSeries(coeffs, 24 * lead)
+    assert expansion_values(series, n_max) == plain_expansion_values(series, n_max)
 
 
 def test_cyclotomic_spec_small_h():

@@ -5,7 +5,10 @@ oracles (and by hand for the smallest cases) before the closed forms were
 written.
 """
 
+import random
 from array import array
+from itertools import compress, islice, repeat
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -310,23 +313,64 @@ def test_tables_past_the_word_bound_refuse_before_allocating(monkeypatch):
             build(n_max)
 
 
-_WORD = st.integers(-(2**62), 2**62)
+_MIN, _MAX = -(2**63), 2**63 - 1
+# every 64-bit word, and the edges where a field's sign bit or carry could
+# leak into its neighbour
+_EDGES = (_MIN, _MIN + 1, _MIN + 7, _MIN + 8, -9, -8, -1, 0, 1, 7, 8, _MAX - 8, _MAX - 7,
+          _MAX)
+_WORD = st.integers(_MIN, _MAX) | st.sampled_from(_EDGES)
+# table lengths on both sides of one and several word-pass chunks
+_K = lseries._CHUNK
+_LENGTHS = st.integers(1, 40) | st.sampled_from((_K - 1, _K, _K + 1, 3 * _K - 1, 3 * _K + 2))
 
 
-@given(st.lists(st.tuples(_WORD, _WORD, st.booleans()), min_size=1, max_size=40_000))
-@example([(1, 1, True)] * 40_000 + [(3, 2, False)])
-@settings(max_examples=60, deadline=None)
-def test_eighths_matches_the_plain_loop(rows):
-    # pairs marked True are made congruent mod 8; the rest are left as drawn
-    av = array("q", (a for a, _, _ in rows))
-    bv = array("q", (b - (b - a) % 8 if same else b for a, b, same in rows))
-    bad = [n for n, (a, b) in enumerate(zip(av, bv)) if (a - b) % 8]
+def _congruent(b, a):
+    """b moved by less than 8 to agree with a mod 8, inside the word range."""
+    b -= (b - a) % 8
+    return b + 8 if b < _MIN else b
+
+
+def _words(n, rows, rnd):
+    """n random words with `rows` of (position, word) written over them."""
+    words = [rnd.randint(_MIN, _MAX) for _ in range(n)]
+    for i, w in rows:
+        words[i % n] = w
+    return words
+
+
+@given(_LENGTHS, st.lists(st.tuples(st.integers(0, 4 * _K), _WORD, _WORD, st.booleans()),
+                          max_size=30), st.randoms(use_true_random=False), st.booleans())
+@example(40_001, [(40_000, 3, 2, False)], random.Random(0), False)
+@settings(max_examples=80, deadline=None)
+def test_eighths_matches_the_plain_loop(n, rows, rnd, same):
+    # the background pairs are congruent mod 8; a drawn pair is made
+    # congruent when marked True or when `same` holds, else left as drawn
+    av = array("q", _words(n, [(i, a) for i, a, _, _ in rows], rnd))
+    bv = array("q", (_congruent(b, a) for a, b in zip(av, _words(n, [], rnd))))
+    for i, a, b, keep in rows:
+        bv[i % n] = _congruent(b, av[i % n]) if keep or same else b
+    bad = [i for i, (a, b) in enumerate(zip(av, bv)) if (a - b) % 8]
     want = [(a - b) // 8 for a, b in zip(av, bv)]
     if bad:
-        n = bad[0]
+        i = bad[0]
         with pytest.raises(IdentityViolation) as info:
             lseries._eighths(array("q", av), bv)
-        assert (info.value.n, info.value.a, info.value.b) == (n, av[n], bv[n])
+        assert (info.value.n, info.value.a, info.value.b) == (i, av[i], bv[i])
     else:
         lseries._eighths(av, bv)
         assert av.tolist() == want
+
+
+@given(_LENGTHS, st.lists(st.tuples(st.integers(0, 4 * _K), _WORD), max_size=30),
+       st.randoms(use_true_random=False), st.sampled_from((0.0, 0.5, 0.99, 1.0)),
+       st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_nonpositive_indices_match_the_plain_scan(n, rows, rnd, positive, start):
+    # a background of positive words at the drawn density, the rest <= 0
+    words = [rnd.randint(1, _MAX) if rnd.random() < positive else rnd.randint(_MIN, 0)
+             for _ in range(n)]
+    for i, w in rows:
+        words[i % n] = w
+    words = array("q", words)
+    want = list(compress(range(start, n), map(le, islice(words, start, None), repeat(0))))
+    assert lseries.nonpositive_indices(words, start) == want

@@ -170,13 +170,6 @@ def _family_factors(d, m):
     ]
 
 
-def cyclotomic_poly_series(h, degree):
-    """Truncated series of the h-th polynomial in the cyclotomic family."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    return QSeries(_product(_family_factors(h, 1), degree + 1), 0)
-
-
 def cyclotomic_check(h, degree):
     """Verify prod_{d|h} Poly_d(lambda^(h/d)) = (1-lambda^h)^h/(1-lambda)
     through lambda**degree.  True iff the truncations agree everywhere."""

@@ -77,11 +77,13 @@ def _kronecker_mul(a, b, n):
     """Convolution via packing into big ints; exact for signed coefficients.
 
     Every convolution coefficient lies in (-h, h) with h = 2^(8w-1), for
-    fields of w bytes.  Each factor is packed once with h added to each
-    field, and the packed biases are subtracted once; one signed product
-    then carries the convolution.  With h added back to each of its first
-    n fields, those fields are the nonnegative digits c + h, which a mask
-    and byte slicing read without borrow handling.
+    fields of w bytes, and each field holds a two's complement word.  An
+    operand's words are joined into one int x; x ^ tops, with tops the int
+    of h in every field, makes each field its value + h, and subtracting
+    tops leaves the signed packed value.  One signed product then carries
+    the convolution.  With tops added to the product, its first n fields
+    are the nonnegative digits c + h, so a mask reads them without borrow
+    handling, and a second XOR with tops turns them back into words.
     """
     amax = max((abs(x) for x in a), default=0)
     bmax = max((abs(x) for x in b), default=0)
@@ -89,19 +91,18 @@ def _kronecker_mul(a, b, n):
         return [0] * n
     bound = amax * bmax * min(len(a), len(b))
     w = bound.bit_length() // 8 + 1  # digit width in bytes; h > bound
-    h = 1 << (8 * w - 1)
-    field = h.to_bytes(w, "little")
-
-    def biases(count):
-        return int.from_bytes(field * count, "little")
+    top = bytes(w - 1) + b"\x80"  # h as one little-endian field
 
     def pack(vec):
-        biased = b"".join((v + h).to_bytes(w, "little") for v in vec)
-        return int.from_bytes(biased, "little") - biases(len(vec))
+        tops = int.from_bytes(top * len(vec), "little")
+        words = b"".join(v.to_bytes(w, "little", signed=True) for v in vec)
+        return (int.from_bytes(words, "little") ^ tops) - tops
 
+    tops = int.from_bytes(top * n, "little")
     mask = (1 << (8 * w * n)) - 1
-    raw = ((pack(a) * pack(b) + biases(n)) & mask).to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i * w:(i + 1) * w], "little") - h for i in range(n)]
+    raw = (((pack(a) * pack(b) + tops) & mask) ^ tops).to_bytes(w * n, "little")
+    return [int.from_bytes(raw[i * w:(i + 1) * w], "little", signed=True)
+            for i in range(n)]
 
 
 def _mul_lists(a, b, n):
@@ -197,23 +198,16 @@ def _solve_plain(out, num, den_terms, n):
 # of _BLOCK 64-bit fields.  A field sum is exact while its absolute value
 # stays below 2^63, which holds when every packed value is below
 # _VALUE_BOUND and the far tail's absolute coefficient sum is below
-# 2^63 / _VALUE_BOUND = 2048.  The crossover with the plain loop was near
-# 10^4 coefficients.
+# 2^63 / _VALUE_BOUND = 2048.  The packed solve beats the plain loop on
+# E(q^7)^7/E(q) windows from about 800 coefficients, but not where values
+# pass _VALUE_BOUND early and it falls back (1/E(q^3) at 7,000): one
+# length threshold, kept at 10^4.
 _PACKED_MIN_LEN = 10_000
 _BLOCK = 256
 _VALUE_BOUND = 1 << 52
-_FIELD_BIAS = 1 << 63
 _ORDER = sys.byteorder
-_FIELDS = struct.Struct(f"={_BLOCK}Q")
-
-
-def _pack(fields):
-    """The int with these _BLOCK unsigned 64-bit fields, lowest first."""
-    return int.from_bytes(_FIELDS.pack(*fields), _ORDER)
-
-
-_VALUE_BIASES = _pack([_VALUE_BOUND] * _BLOCK)
-_FIELD_BIASES = _pack([_FIELD_BIAS] * _BLOCK)
+_FIELDS = struct.Struct(f"={_BLOCK}q")
+_TOPS = int.from_bytes((1 << 63).to_bytes(8, _ORDER) * _BLOCK, _ORDER)
 _BLOCK_MASK = (1 << (64 * _BLOCK)) - 1
 
 
@@ -228,10 +222,13 @@ def _solve_packed(num, den_terms, n):
     x = sum_f v_f 2^(64 f) over its values v_f, and sent forward: with
     q, r = divmod(g, B), coefficient c of offset g adds c * (x << 64 r) to
     the far sums pending for block i + q, whose fields past B spill into
-    the next block.  When block t is due, its pending sums plus the spill
-    of block t - 1 plus a bias of 2^63 per field are masked once and
-    unpacked once (each field is then its far sum + 2^63), and what lies
-    above field B is the spill into block t + 1.
+    the next block.  Fields hold two's complement words: the block's words
+    joined into one int, XORed with _TOPS (2^63 in every field) and less
+    _TOPS, make x.  When block t is due, its pending sums plus the spill
+    of block t - 1 plus _TOPS are masked once, so each field is its far
+    sum + 2^63 with no borrow between fields, and XORed with _TOPS once,
+    so each field is its far sum as a word; what lies above field B is the
+    spill into block t + 1.
 
     The overflow guard reads only the values already produced: each block
     is checked against _VALUE_BOUND before it is packed, and the far
@@ -245,7 +242,7 @@ def _solve_packed(num, den_terms, n):
             q, r = divmod(g, B)
             far.setdefault(r, []).append((q, cg))
             weight += abs(cg)
-    if not far or weight * _VALUE_BOUND >= _FIELD_BIAS:
+    if not far or weight * _VALUE_BOUND >= 1 << 63:
         return _solve_plain([], num, den_terms, n)
     out = _solve_plain([], num, den_terms, B)
     append = out.append
@@ -258,7 +255,7 @@ def _solve_packed(num, den_terms, n):
         done = out[-B:]
         if min(done) <= -_VALUE_BOUND or max(done) >= _VALUE_BOUND:
             return _solve_plain(out, num, den_terms, n)
-        x = _pack([v + _VALUE_BOUND for v in done]) - _VALUE_BIASES
+        x = (int.from_bytes(_FIELDS.pack(*done), _ORDER) ^ _TOPS) - _TOPS
         for shift, targets in shifts:
             xs = x << shift
             for q, cg in targets:
@@ -271,12 +268,12 @@ def _solve_packed(num, den_terms, n):
                     pending[u] -= xs
                 else:
                     pending[u] += cg * xs
-        y = pending[t] + spill + _FIELD_BIASES
+        y = pending[t] + spill + _TOPS
         pending[t] = 0
         spill = y >> (64 * B)
-        far_sums = memoryview((y & _BLOCK_MASK).to_bytes(8 * B, _ORDER)).cast("Q")
-        for c, f in zip(num[t * B:min(n, (t + 1) * B)], far_sums):
-            c += _FIELD_BIAS - f
+        far_sums = memoryview(((y & _BLOCK_MASK) ^ _TOPS).to_bytes(8 * B, _ORDER))
+        for c, f in zip(num[t * B:min(n, (t + 1) * B)], far_sums.cast("q")):
+            c -= f
             for cg, get in getters:
                 c -= cg * sum(get(out))
             append(c)

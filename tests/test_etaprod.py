@@ -24,7 +24,6 @@ from cycloeta.etaprod import (
     _family_factors,
     _product,
     cyclotomic_check,
-    cyclotomic_poly_series,
     cyclotomic_spec,
     expand,
     expansion_values,
@@ -288,7 +287,7 @@ def dense_family_series(d, m, degree):
 @settings(max_examples=60, deadline=None)
 def test_family_matches_dense_construction(h, degree):
     n = degree + 1
-    assert list(cyclotomic_poly_series(h, degree).coeffs) == dense_family_series(h, 1, degree)
+    assert _product(_family_factors(h, 1), n) == dense_family_series(h, 1, degree)
     if h == 1:
         return
     lhs = [1] + [0] * degree
@@ -395,18 +394,18 @@ PHI3 = [1, 1, 1, -2, -2, -2, 1, 1, 1]
 
 
 def test_cyclotomic_polys_frozen():
-    assert list(cyclotomic_poly_series(1, 5).coeffs) == [1, 0, 0, 0, 0, 0]
-    assert list(cyclotomic_poly_series(2, 6).coeffs) == PHI2 + [0, 0, 0]
-    assert list(cyclotomic_poly_series(3, 10).coeffs) == PHI3 + [0, 0]
+    assert _product(_family_factors(1, 1), 6) == [1, 0, 0, 0, 0, 0]
+    assert _product(_family_factors(2, 1), 7) == PHI2 + [0, 0, 0]
+    assert _product(_family_factors(3, 1), 11) == PHI3 + [0, 0]
     # the family is not the classical cyclotomic one: classical Phi_2 = 1 + x
-    assert list(cyclotomic_poly_series(2, 3).coeffs) != [1, 1, 0, 0]
+    assert _product(_family_factors(2, 1), 4) != [1, 1, 0, 0]
 
 
 def test_cyclotomic_poly_degree_matches_order24():
     # the series is eventually zero (it really is a polynomial) and its
     # degree equals the 24-order of the matching eta quotient
     for h in range(2, 13):
-        coeffs = list(cyclotomic_poly_series(h, 200).coeffs)
+        coeffs = _product(_family_factors(h, 1), 201)
         deg = max(i for i, c in enumerate(coeffs) if c != 0)
         assert deg == cyclotomic_spec(h).order24()
         assert not any(coeffs[deg + 1 :])

@@ -89,11 +89,18 @@ def test_empty_window_is_refused():
 
 
 small_series = st.lists(st.integers(-50, 50), min_size=1, max_size=18)
+# values at the byte-width edges of a field, both signs: wide fields whose
+# sign bits vary from field to field
+WIDE_VALUES = [s * (m + d) for k in (1, 2, 3, 5) for m in (1 << (8 * k - 1), 1 << (8 * k))
+               for d in (-1, 0) for s in (1, -1)]
+wide_series = st.lists(
+    st.one_of(st.sampled_from(WIDE_VALUES), st.integers(-50, 50)), min_size=1, max_size=18
+)
 
 
 @given(
-    st.one_of(small_series, st.lists(st.just(0), min_size=1, max_size=18)),
-    small_series,
+    st.one_of(small_series, st.lists(st.just(0), min_size=1, max_size=18), wide_series),
+    st.one_of(small_series, wide_series),
     st.data(),
 )
 @settings(max_examples=120, deadline=None)
@@ -107,10 +114,32 @@ def test_kronecker_matches_schoolbook(xs, ys, data):
     assert _mul_lists(xs, ys, n) == want
 
 
+def alternating(m, v):
+    """[v, -v, v, ...] of length m."""
+    return [v if i % 2 == 0 else -v for i in range(m)]
+
+
 def test_kronecker_large_magnitudes():
     xs = [(-3) ** i for i in range(40)]
     ys = [7 ** (i % 13) - 2 ** i for i in range(40)]
     assert _kronecker_mul(xs, ys, 40) == _schoolbook_mul(xs, ys, 40)
+    # Convolutions that reach their bound amax * bmax * min(len) exactly,
+    # with the bound on both sides of each field width step: 2^(8k-1) - 1
+    # is the largest bound of a k-byte field, 2^(8k-1) the smallest of a
+    # (k+1)-byte one.  Alternating signs make the coefficients alternate
+    # in sign, so each field's sign bit is read back.
+    for k in range(1, 6):
+        for bound in ((1 << (8 * k - 1)) - 1, 1 << (8 * k - 1)):
+            for m in (1, 2, 7, 8, 127, 128):
+                if bound % m:
+                    continue
+                for amax, bmax in ((1, bound // m), (bound // m, 1)):
+                    xs, ys = alternating(m, amax), alternating(m, -bmax)
+                    for n in (m, 2 * m - 1, 2 * m + 1):
+                        want = _schoolbook_mul(xs, ys, n)
+                        assert max(map(abs, want)) == bound
+                        assert _kronecker_mul(xs, ys, n) == want
+                        assert _kronecker_mul(ys, [-x for x in xs], n) == [-c for c in want]
 
 
 def test_mul_lists_is_one_kronecker_product(monkeypatch):
@@ -245,6 +274,23 @@ def plain_calls(monkeypatch):
 EDGE_PARTS = [1, 2, 3, 7, 100, B - 1, B, B + 1, 300, 2 * B - 1, 2 * B, 2 * B + 1, 700]
 
 
+def extreme_far_sums(a, sign):
+    """Arguments whose solve sums far offsets at the packed guard's limit.
+
+    The tail (1 - q^a)^11, a >= B, has far weight 2^11 - 1 = 2047, the
+    largest the guard admits, and the quotient out[m] = sign * (-1)^(m // a)
+    * (2^52 - 1) is as large as a packed value may be.  Its signs follow
+    the tail's, so from 11a on the far sums are +-2047 * (2^52 - 1),
+    alternating in sign every a coefficients.  num = out * den, so the
+    solve never falls back.
+    """
+    n = 12 * a + 5
+    tail = binomial_product([a] * 11)
+    out = [sign * (-1) ** (m // a) * ((1 << 52) - 1) for m in range(n)]
+    num = [out[k] + sum(c * out[k - g] for g, c in tail if g <= k) for k in range(n)]
+    return {"num": num, "parts": [a] * 11, "n": n}
+
+
 @given(
     st.lists(st.integers(-1000, 1000), max_size=60),
     st.lists(st.sampled_from(EDGE_PARTS), min_size=1, max_size=4, unique=True),
@@ -253,6 +299,8 @@ EDGE_PARTS = [1, 2, 3, 7, 100, B - 1, B, B + 1, 300, 2 * B - 1, 2 * B, 2 * B + 1
 @example(num=[1], parts=[B], n=B + 1)
 @example(num=[3, -1], parts=[1, B - 1, B + 1], n=2 * B)
 @example(num=[5], parts=[2, 2 * B], n=5 * B + 17)
+@example(**extreme_far_sums(B, 1))
+@example(**extreme_far_sums(B + 1, -1))  # offsets jB + j: fields spill across blocks
 @settings(max_examples=150, deadline=None)
 def test_packed_solve_matches_plain_loop(num, parts, n):
     # tails of a binomial product carry coefficients other than +-1

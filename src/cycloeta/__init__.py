@@ -41,7 +41,6 @@ _SOURCES = {
         "hecke_weight",
         "ideals_of_norm",
         "split_rep",
-        "split_traces",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

@@ -162,7 +162,9 @@ def _cmd_coeffs(args):
 
     n_max = _resolve_n_max(args)
     c, av, bv = lseries.c_table(n_max, at=range(1, n_max + 1))
-    rows = list(zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None)))
+    # the renderer makes the row tuples a chunk at a time; a list of all
+    # 10^5 of them held about 20 MB
+    rows = zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None))
     return {"command": "coeffs", "n_max": n_max, "rows": rows}
 
 
@@ -248,8 +250,8 @@ _ROW_CHUNK = 2048
 
 def _int_rows(rows, row, sep):
     """Per chunk of `rows`, one string: the `row` template of each, joined by `sep`."""
-    for i in range(0, len(rows), _ROW_CHUNK):
-        part = rows[i:i + _ROW_CHUNK]
+    rows = iter(rows)
+    while part := list(islice(rows, _ROW_CHUNK)):
         yield sep.join([row] * len(part)) % tuple(chain.from_iterable(part))
 
 

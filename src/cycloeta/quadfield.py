@@ -8,9 +8,8 @@ PI_TWO = (1 + sqrt(-7))/2.
 """
 
 import math
-from itertools import compress
 
-from .arith import CheckFailure, Record, epsilon, is_prime, prime_flags
+from .arith import CheckFailure, Record, epsilon, is_prime
 
 
 class SplittingError(CheckFailure):
@@ -162,42 +161,3 @@ def split_trace(p):
         return -3
     x, y = split_rep(p)
     return 2 * (x * x - 7 * y * y)
-
-
-def split_traces(n_max):
-    """{p: split_trace(p)} for every split prime p <= n_max, from one pass
-    over x^2 + 7y^2 <= n_max instead of Cornacchia's algorithm per prime.
-
-    Class number one makes each odd split prime x^2 + 7y^2 with x, y >= 1
-    in exactly one way, and no other prime is of that form.  Raises
-    InconsistencyError when the pass finds a prime twice, finds a prime
-    that does not split, or misses a split prime.
-    """
-    flags = prime_flags(n_max)
-    traces = {2: -3} if n_max >= 2 else {}
-    for p, x, y in _prime_reps(n_max, flags):
-        if p in traces or epsilon(p) != 1:
-            raise InconsistencyError(
-                f"p={p} = {x}^2 + 7*{y}^2: a second or non-split hit"
-            )
-        traces[p] = 2 * (x * x - 7 * y * y)
-    # the split primes are the primes = 1, 2, 4 (mod 7), 2 among them
-    if len(traces) != sum(flags[r::7].count(1) for r in (1, 2, 4)):
-        missed = [
-            p for p in compress(range(n_max + 1), flags)
-            if epsilon(p) == 1 and p not in traces
-        ]
-        raise InconsistencyError(f"split primes {missed[:5]} not found as x^2 + 7y^2")
-    return traces
-
-
-def _prime_reps(n_max, flags):
-    """(p, x, y) for every prime p = x^2 + 7y^2 <= n_max with x, y >= 1,
-    read off the prime flags.  x and y of equal parity give an even p > 2,
-    so only the other parity is walked."""
-    for y in range(1, math.isqrt(n_max // 7) + 1):
-        c = 7 * y * y
-        for x in range(1 + y % 2, math.isqrt(n_max - c) + 1, 2):
-            p = x * x + c
-            if flags[p]:
-                yield p, x, y

@@ -67,12 +67,12 @@ def test_criterion_3_oracle_equivalence(identity_pipeline):
     # a: closed form against the divisor-sum oracle, full range
     assert lseries.a_table(N_IDENTITY).values == lseries.a_oracle_table(N_IDENTITY).values
 
-    # b: closed form against literal ideal enumeration
+    # b: the theta-series sweep against literal ideal enumeration
     bt = lseries.b_table(N_ORACLE_B)
     for n in range(1, N_ORACLE_B + 1):
         assert bt[n] == lseries.b_oracle(n)
 
-    # b: closed form against the truncated Euler product
+    # b: the sweep against the truncated Euler product of the closed forms
     assert lseries.euler_truncate(N_ORACLE_B).values == bt.values
 
 

@@ -354,8 +354,8 @@ def test_closed_stdout_descriptor_exits_two():
             id="IdentityViolation",
         ),
         pytest.param(
-            quadfield.InconsistencyError("p=11 = 2^2 + 7*1^2: a second or non-split hit"),
-            "p=11 = 2^2 + 7*1^2: a second or non-split hit",
+            quadfield.InconsistencyError("ideal weight sum of norm 11 is half-integral"),
+            "ideal weight sum of norm 11 is half-integral",
             id="InconsistencyError",
         ),
         pytest.param(
@@ -383,15 +383,20 @@ def test_arithmetic_failure_exits_one(capsys, monkeypatch, failure, reason):
 
 
 def test_missed_split_prime_exits_one(capsys, monkeypatch):
-    honest = quadfield._prime_reps
+    # a b table that misses the ideals of the split prime 16417 breaks the
+    # identity there: a(16417) = 16417^2 + 1 is 2 mod 8
+    honest = lseries.b_table
 
-    def hiding(n_max, flags):
-        return (rep for rep in honest(n_max, flags) if rep[0] != 16417)
+    def missing(n_max):
+        table = honest(n_max)
+        table.values[16417] = 0
+        return table
 
-    monkeypatch.setattr(quadfield, "_prime_reps", hiding)
+    monkeypatch.setattr(lseries, "b_table", missing)
     code, out, err = capture(capsys, ["coeffs", "--n-max", "20000"])
     assert (code, out) == (1, "")
-    assert err == "mathematical check failed: split primes [16417] not found as x^2 + 7y^2\n"
+    assert err == ("mathematical check failed: a(16417) - b(16417) = "
+                   f"{16417**2 + 1} is not divisible by 8\n")
 
 
 GOLDEN_DIGESTS = json.loads(
@@ -786,7 +791,7 @@ def test_n_max_past_the_word_bound_is_usage_error(capsys, monkeypatch, command):
     def refuse(*args):
         raise AssertionError("a table build started past the word bound")
 
-    for name in ("sieve_multiplicative", "split_traces"):
+    for name in ("sieve_multiplicative", "array"):
         monkeypatch.setattr(lseries, name, refuse)
     monkeypatch.setattr(etaprod, "expand", refuse)
     n_max = lseries.WORD_N_MAX + 1
@@ -880,6 +885,10 @@ def test_int_row_tables_match_the_general_renderers(payload):
         assert cli._render_json(payload) == json.dumps(payload, indent=2) + "\n"
         assert cli._render_text(payload) == _per_row_text(payload)
         assert cli._render_csv(payload) == _csv_writer_text(payload)
+        # coeffs hands its rows over as a one-shot iterator
+        for render in (cli._render_json, cli._render_text, cli._render_csv):
+            once = {**payload, "rows": iter(payload["rows"])}
+            assert render(once) == render(payload)
 
 
 _TABLE_MODULES = ("cycloeta.lseries", "cycloeta.quadfield", "cycloeta.analysis")

@@ -137,9 +137,40 @@ def test_local_factors_beyond_any_table():
             assert local.get(p**j, 0) == b_prime_power(p, j), (p, j)
 
 
+def test_b_table_is_the_jacobi_product():
+    # eta(tau)^3 eta(7 tau)^3 = q E(q)^3 E(q^7)^3, the CM form of b, read
+    # off two Jacobi series: a route that shares nothing with the sweep
+    spec = etaprod.EtaQuotientSpec(((1, 3), (7, 3)))
+    assert b_table(20_000).values.tolist() == expansion_values(expand(spec, 20_000), 20_000)
+
+
+@pytest.fixture(scope="module")
+def b_30000():
+    return b_table(30_000)
+
+
+def test_b_table_at_primes_is_the_cornacchia_trace(b_30000):
+    for p in primes_up_to(30_000):
+        assert b_30000[p] == b_prime_power(p, 1), p
+
+
+# the sweep's bounds move with n_max: 1, 2 and 7 are its first norms, and
+# 16417 is the split prime the identity-violation tests perturb
+@given(st.integers(1, 30_000))
+@example(1)
+@example(2)
+@example(7)
+@example(10)
+@example(11)
+@example(16_417)
+@settings(max_examples=60, deadline=None)
+def test_b_table_is_a_prefix_of_a_longer_one(b_30000, n_max):
+    assert b_table(n_max).values == b_30000.values[:n_max + 1]
+
+
 def test_b_table_never_runs_cornacchia(monkeypatch):
     # the Euler-product oracle reaches the split traces through split_rep;
-    # b_table reads them off one enumeration of x^2 + 7y^2
+    # b_table is one pass over u^2 + 7v^2 and needs no trace
     before = b_table(20_000)
     euler = euler_truncate(20_000)
     assert before == euler
@@ -186,12 +217,14 @@ def test_identity_violation_payload():
 @pytest.mark.parametrize("p,k,n_max", [(3, 2, 50), (16417, 1, 16500)])
 def test_identity_violation_from_perturbed_b(monkeypatch, p, k, n_max):
     true_b = b_coeff(p**k)
-    honest = lseries.b_prime_power
+    honest = lseries.b_table
 
-    def perturbed(q, j, traces=None):
-        return honest(q, j, traces) + (1 if (q, j) == (p, k) else 0)
+    def perturbed(n):
+        table = honest(n)
+        table.values[p**k] += 1
+        return table
 
-    monkeypatch.setattr(lseries, "b_prime_power", perturbed)
+    monkeypatch.setattr(lseries, "b_table", perturbed)
     for at in (None, range(1, n_max + 1)):
         with pytest.raises(IdentityViolation) as info:
             c_table(n_max, at=at)
@@ -304,7 +337,7 @@ def test_tables_past_the_word_bound_refuse_before_allocating(monkeypatch):
         raise AssertionError("a table build started past the word bound")
 
     for module, name in ((lseries, "sieve_multiplicative"), (arith, "sieve_multiplicative"),
-                         (lseries, "split_traces"), (quadfield, "split_traces")):
+                         (lseries, "array")):
         monkeypatch.setattr(module, name, refuse)
     n_max = lseries.WORD_N_MAX + 1
     monkeypatch.setattr(etaprod, "expand", refuse)

@@ -20,7 +20,7 @@ def test_exported_name_is_the_submodule_object(name):
 
 def test_exports_cover_the_public_names():
     assert cycloeta.__all__ == sorted(cycloeta._MODULE_OF)
-    assert len(cycloeta.__all__) == 30
+    assert len(cycloeta.__all__) == 29
     namespace = {}
     exec("from cycloeta import *", namespace)
     assert {n for n in namespace if n != "__builtins__"} == set(cycloeta.__all__)

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycloeta import lseries, quadfield
+from cycloeta import lseries
 from cycloeta.arith import divisors, epsilon, primes_up_to
 from cycloeta.quadfield import (
     PI_TWO,
-    InconsistencyError,
     QuadInt,
     SplittingError,
     hecke_weight,
@@ -23,7 +22,6 @@ from cycloeta.quadfield import (
     pi_element,
     split_rep,
     split_trace,
-    split_traces,
 )
 
 
@@ -194,59 +192,6 @@ def test_split_trace_matches_ring_square():
         assert split_trace(p) == (sq + sq.conjugate()).rational_part()
     with pytest.raises(SplittingError):
         split_trace(3)
-
-
-def _cornacchia_traces(n_max):
-    """Oracle: split_trace (Cornacchia) at every split prime <= n_max."""
-    return {p: split_trace(p) for p in primes_up_to(n_max) if epsilon(p) == 1}
-
-
-def test_split_traces_match_cornacchia_below_20000():
-    traces = split_traces(20_000)
-    assert traces == _cornacchia_traces(20_000)
-    assert traces[2] == -3 and traces[11] == -6  # 11 = 2^2 + 7 * 1^2
-
-
-# 16417 is the split prime the identity-violation tests perturb
-@given(st.integers(1, 30_000))
-@example(1)
-@example(2)
-@example(7)
-@example(10)
-@example(11)
-@example(16_417)
-@settings(max_examples=60, deadline=None)
-def test_split_traces_match_cornacchia_on_drawn_bounds(n_max):
-    assert split_traces(n_max) == _cornacchia_traces(n_max)
-
-
-def _patched_reps(monkeypatch, edit):
-    honest = quadfield._prime_reps
-    monkeypatch.setattr(
-        quadfield, "_prime_reps", lambda n_max, flags: edit(list(honest(n_max, flags)))
-    )
-
-
-def test_split_traces_detect_a_missed_prime(monkeypatch):
-    _patched_reps(monkeypatch, lambda reps: [r for r in reps if r[0] != 16_417])
-    with pytest.raises(InconsistencyError, match="16417"):
-        split_traces(20_000)
-    # also when the missing prime is the bound itself
-    with pytest.raises(InconsistencyError, match="16417"):
-        split_traces(16_417)
-
-
-def test_split_traces_detect_a_second_hit(monkeypatch):
-    _patched_reps(monkeypatch, lambda reps: reps + reps[-1:])
-    with pytest.raises(InconsistencyError):
-        split_traces(20_000)
-
-
-def test_split_traces_detect_a_non_split_hit(monkeypatch):
-    # 3 is inert; a hit on it with a split prime dropped keeps the count
-    _patched_reps(monkeypatch, lambda reps: [(3, 1, 1)] + reps[1:])
-    with pytest.raises(InconsistencyError):
-        split_traces(20_000)
 
 
 def test_pi_element_norms():

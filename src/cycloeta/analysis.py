@@ -14,7 +14,7 @@ from itertools import combinations, islice
 # tables (positivity); the expansion-side checks read their windows through
 # etaprod alone
 from . import etaprod
-from .arith import epsilon, is_prime, primes_up_to
+from .arith import epsilon, is_prime, iter_primes, primes_up_to
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def _margin(p, k, a, b):
 
 def _prime_powers(n_max):
     """(p, k, p^k) for every prime power p^k <= n_max, p then k ascending."""
-    for p in primes_up_to(n_max):
+    for p in iter_primes(n_max):
         q, k = p, 1
         while q <= n_max:
             yield p, k, q
@@ -63,14 +63,34 @@ def _prime_powers(n_max):
             k += 1
 
 
+class Margins:
+    """The margin at every prime power <= n_max, in the order of
+    _prime_powers, made on demand from the a(p^k) and b(p^k) words: a
+    read-only sized iterable, so a report that only counts them holds no
+    margin dict."""
+
+    __slots__ = ("n_max", "a_at", "b_at")
+
+    def __init__(self, n_max, a_at, b_at):
+        self.n_max, self.a_at, self.b_at = n_max, a_at, b_at
+
+    def __len__(self):
+        return len(self.a_at)
+
+    def __iter__(self):
+        for (p, k, _), a, b in zip(_prime_powers(self.n_max), self.a_at, self.b_at):
+            yield _margin(p, k, a, b)
+
+
 def check_positivity(n_max):
     """Verify c(n) > 0 for 2 <= n <= n_max directly, and the three case
     inequalities at every prime power <= n_max.  `failures` lists the
-    n >= 2 with c(n) <= 0, `casewise` the margin at every prime power and
-    `inequality_failures` the margins that fail.
+    n >= 2 with c(n) <= 0, `casewise` the margin at every prime power (a
+    lazy Margins) and `inequality_failures` the margins that fail.
 
     The margins take a(p^k) and b(p^k) from the tables that c is built
-    from, and c is freed before they are built."""
+    from, and c is freed before they are checked, in one pass that keeps
+    only the failing ones."""
     from . import lseries
 
     c, a_at, b_at = lseries.c_table(
@@ -78,10 +98,7 @@ def check_positivity(n_max):
     )
     failures = lseries.nonpositive_indices(c.values, 2)
     del c
-    casewise = [
-        _margin(p, k, a, b)
-        for (p, k, _), a, b in zip(_prime_powers(n_max), a_at, b_at)
-    ]
+    casewise = Margins(n_max, a_at, b_at)
     bad = [m for m in casewise if not m["ok"]]
     return {"n_max": n_max, "verified": not failures and not bad, "failures": failures,
             "inequality_failures": bad, "casewise": casewise}

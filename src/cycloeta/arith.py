@@ -8,12 +8,16 @@ OverflowError for a value that does not fit, rather than wrap it.
 """
 
 import math
-from itertools import compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import floordiv, getitem, mul
 
 # Quadratic residues mod 7 are {1, 2, 4}.  eps is the completely
 # multiplicative character with eps(7) = 0.
 _EPS_BY_RESIDUE = (0, 1, 1, -1, 1, -1, -1)
+
+# values per slice of sieve_multiplicative's in-place write: 512 KB of
+# words at a time
+_SIEVE_CHUNK = 1 << 16
 
 
 class CheckFailure(ArithmeticError):
@@ -74,12 +78,18 @@ def prime_flags(n):
     return flags
 
 
+def iter_primes(n):
+    """The primes <= n, ascending, read off prime_flags(n) as they are
+    walked rather than held as a list of ints."""
+    if n < 2:
+        return iter(())
+    # 2, then the odd flags only: half the range to walk
+    return chain((2,), compress(range(3, n + 1, 2), memoryview(prime_flags(n))[3::2]))
+
+
 def primes_up_to(n):
     """All primes <= n, ascending."""
-    if n < 2:
-        return []
-    # 2, then the odd flags only: half the range to walk
-    return [2, *compress(range(3, n + 1, 2), prime_flags(n)[3::2])]
+    return list(iter_primes(n))
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -193,39 +203,45 @@ def sieve_multiplicative(prime_power_rule, n_max):
 
     Slice fills mark every multiple of each prime power q = p**k with q and
     f(q), so part[n] ends as the full power of one prime of n (whichever
-    wrote last) and local[n] as its value.  Then
-    f(n) = f(n // part[n]) * local[n], with n // part[n] < n coprime to
-    part[n] and already filled.  A prime p > sqrt(n_max) divides any
-    n <= n_max once, and beside a smaller prime that marks n unless n = p,
-    so p marks only its own slot.
+    wrote last) and table[n] as its value.  Then
+    f(n) = f(n // part[n]) * table[n], with n // part[n] <= n / 2 coprime
+    to part[n].  A prime p > sqrt(n_max) divides any n <= n_max once, and
+    beside a smaller prime that marks n unless n = p, so p marks only its
+    own slot.
     """
     from array import array  # off the start-up path of commands with no table
 
     if n_max < 1:
         raise ValueError("sieve_multiplicative requires n_max >= 1")
     root = math.isqrt(n_max)
-    part = array("q", (1,)) * (n_max + 1)
-    local = array("q", (0,)) * (n_max + 1)
-    for p in primes_up_to(n_max):
+    # part holds prime powers <= n_max in unsigned 32-bit words, half the
+    # size of the table: past 2^32 - 1 (above any identity table's n_max)
+    # a write raises OverflowError
+    part = array("I", (1,)) * (n_max + 1)
+    table = array("q", (0,)) * (n_max + 1)
+    table[1] = 1
+    for p in iter_primes(n_max):
         if p > root:
             part[p] = p
-            local[p] = prime_power_rule(p, 1)
+            table[p] = prime_power_rule(p, 1)
             continue
         q, k = p, 1
         while q <= n_max:
             count = n_max // q
-            part[q::q] = array("q", (q,)) * count
-            local[q::q] = array("q", (prime_power_rule(p, k),)) * count
+            part[q::q] = array("I", (q,)) * count
+            table[q::q] = array("q", (prime_power_rule(p, k),)) * count
             q *= p
             k += 1
-    # One pass at C speed: array.extend appends each product as the map
-    # yields it, so the lookup of n // part[n] < n reads a filled entry.
-    # (An extend that drained the map first would raise IndexError here,
-    # never return a wrong table.)  part and local are words too: as lists
-    # they would keep an int object alive for every prime above the root,
-    # 42 MB at 1e7.  getitem reads the array without the argument tuple
-    # that a call of table.__getitem__ builds.
-    rest = map(floordiv, range(2, n_max + 1), islice(part, 2, None))
-    table = array("q", (0, 1))
-    table.extend(map(mul, map(getitem, repeat(table), rest), islice(local, 2, None)))
+    # f(n) over the local values in place, one slice [lo, hi) at a time at
+    # C speed: with hi <= 2 lo every n // part[n] lies below lo, so each
+    # lookup reads a final value.  getitem reads the array without the
+    # argument tuple that a call of table.__getitem__ builds, and the
+    # slice's array raises OverflowError for a product past 64 bits.
+    parts, values = memoryview(part), memoryview(table)
+    lo = 2
+    while lo <= n_max:
+        hi = min(2 * lo, lo + _SIEVE_CHUNK, n_max + 1)
+        rest = map(floordiv, range(lo, hi), parts[lo:hi])
+        values[lo:hi] = array("q", map(mul, map(getitem, repeat(table), rest), values[lo:hi]))
+        lo = hi
     return table

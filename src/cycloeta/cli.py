@@ -270,7 +270,8 @@ def _render_json(payload):
         pre, _, post = head.partition('"\\u0000rows"')
         return "".join((pre, "[\n", rows, "\n  ]", post, "\n"))
     buf = io.StringIO()
-    json.dump(payload, buf, indent=2)
+    # positivity's lazy margins are written as the list they stand for
+    json.dump(payload, buf, indent=2, default=list)
     buf.write("\n")
     return buf.getvalue()
 

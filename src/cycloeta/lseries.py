@@ -265,11 +265,9 @@ def c_table(n_max, at=None):
 # Word passes: an array('q') chunk is read as one int of 64-bit fields, in
 # the machine's byte order, and each pass is a few whole-int operations on it
 _ORDER = sys.byteorder
-# the bytes of a 64-bit word that hold its low bits and its sign bit
-_LOW_BYTE, _HIGH_BYTE = (0, 7) if _ORDER == "little" else (7, 0)
-_LOW_3_BITS = bytes(i & 7 for i in range(256))
-# words per chunk, so each field int is 32 KB; positivity --n-max 1000000
-# peaks after these passes, while it builds its 78,734 margin dicts
+# the byte of a 64-bit word that holds its sign bit
+_HIGH_BYTE = 7 if _ORDER == "little" else 0
+# words per chunk, so each field int is 32 KB
 _CHUNK = 1 << 12
 
 
@@ -279,39 +277,36 @@ def _fields(word):
 
 
 _TOP = _fields(1 << 63)
+_LOW_3 = _fields(7)
 _LOW_63 = _fields((1 << 63) - 1)
-
-
-def _low_3_bits(words):
-    """The low three bits of every word of an array('q'), one byte each."""
-    return memoryview(words).cast("B")[_LOW_BYTE::8].tobytes().translate(_LOW_3_BITS)
 
 
 def _eighths(av, bv):
     """av[n] = (av[n] - bv[n]) / 8 in place for two array('q') tables,
-    raising IdentityViolation at the first n where 8 does not divide.
+    raising IdentityViolation at the first n where 8 does not divide; the
+    chunks before that n's are then already written.
 
-    Words agree mod 8 exactly when their two's complement low three bits
-    do, so the check compares two byte strings.  The quotients are then
-    (a >> 3) - (b >> 3), computed a chunk at a time in its field ints.
-    Flipping each sign bit makes a field w + 2^63, and shifting the int
-    right by 3 leaves (w >> 3) + 2^60 in each field, plus the next field's
-    low three bits at bits 61-63, which the check made equal in a and b,
-    so they cancel in the difference.  Each field difference plus 2^63
-    then lies in (0, 2^64), so no field borrows from the next, and
-    flipping the sign bit back leaves the quotient in two's complement.
-    A short last chunk leaves the full-width constant's extra fields 0.
+    A chunk at a time, in its field ints: words agree mod 8 exactly when
+    their two's complement low three bits do, so the check is one XOR
+    and one mask.  The quotients are then (a >> 3) - (b >> 3).  Flipping
+    each sign bit makes a field w + 2^63, and shifting the int right by 3
+    leaves (w >> 3) + 2^60 in each field, plus the next field's low three
+    bits at bits 61-63, which the check made equal in a and b, so they
+    cancel in the difference.  Each field difference plus 2^63 then lies
+    in (0, 2^64), so no field borrows from the next, and flipping the
+    sign bit back leaves the quotient in two's complement.  A short last
+    chunk leaves the full-width constants' extra fields 0.
     """
-    low_a, low_b = _low_3_bits(av), _low_3_bits(bv)
-    if low_a != low_b:
-        n = next(n for n, (x, y) in enumerate(zip(low_a, low_b)) if x != y)
-        raise IdentityViolation(n, av[n], bv[n])
     a_bytes, b_bytes = memoryview(av).cast("B"), memoryview(bv).cast("B")
     size = len(a_bytes)
     for i in range(0, size, 8 * _CHUNK):
         j = i + 8 * _CHUNK
-        x = (int.from_bytes(a_bytes[i:j], _ORDER) ^ _TOP) >> 3
-        y = (int.from_bytes(b_bytes[i:j], _ORDER) ^ _TOP) >> 3
+        x = int.from_bytes(a_bytes[i:j], _ORDER)
+        y = int.from_bytes(b_bytes[i:j], _ORDER)
+        if (x ^ y) & _LOW_3:
+            n = next(n for n in range(i // 8, min(j, size) // 8) if (av[n] - bv[n]) % 8)
+            raise IdentityViolation(n, av[n], bv[n])
+        x, y = (x ^ _TOP) >> 3, (y ^ _TOP) >> 3
         a_bytes[i:j] = ((x - y + _TOP) ^ _TOP).to_bytes(min(j, size) - i, _ORDER)
 
 

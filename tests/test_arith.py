@@ -3,11 +3,13 @@
 import math
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cycloeta import arith
 from cycloeta.arith import (
     divisors,
     epsilon,
@@ -20,6 +22,7 @@ from cycloeta.arith import (
     spf_table,
     totient,
 )
+from cycloeta.lseries import a_coeff, a_prime_power
 
 
 def test_epsilon_residue_table():
@@ -218,6 +221,53 @@ def test_sieve_multiplicative_stores_64_bit_words():
         sieve_multiplicative(lambda p, k: 2**63 if p == 97 else 1, 97)
     with pytest.raises(OverflowError):
         sieve_multiplicative(lambda p, k: 2**32, 6)
+
+
+_C = arith._SIEVE_CHUNK
+# the in-place write's slices end at 4, 8, ..., _C, then at every multiple
+# of _C; n is drawn on both sides of each end, and for a patched slice
+# length c also around its multiples
+_SIEVE_ENDS = {1, 2, 3} | {e + d for e in (*(2**k for k in range(2, 17)), 2 * _C)
+                           for d in (-1, 0, 1)}
+
+
+def _chunk_and_n(chunk):
+    ends = {m * chunk + d for m in range(1, 40) for d in (-1, 0, 1)} | _SIEVE_ENDS
+    n = st.sampled_from(sorted(e for e in ends if 1 <= e <= 2 * _C + 1)) | st.integers(1, 3000)
+    return st.tuples(st.just(chunk), n)
+
+
+@cache
+def _a_closed(n_max):
+    return [0] + [a_coeff(n) for n in range(1, n_max + 1)]
+
+
+@given(st.sampled_from((1, 2, 3, 7, 64, _C)).flatmap(_chunk_and_n))
+@example((_C, _C + 1))
+@example((_C, 2 * _C + 1))
+@settings(max_examples=60, deadline=None)
+def test_sieve_multiplicative_in_place_is_the_closed_form(chunk_n):
+    chunk, n = chunk_n
+    try:
+        arith._SIEVE_CHUNK = chunk
+        table = sieve_multiplicative(a_prime_power, n)
+    finally:
+        arith._SIEVE_CHUNK = _C
+    assert table.tolist() == _a_closed(2 * _C + 1)[:n + 1]
+
+
+def test_sieve_multiplicative_overflows_in_the_chunked_write():
+    # each prime-power value is a word; the product at 2 * 65537, in the
+    # slice from 2 * _C on, is 2^63, one past the largest word
+    assert is_prime(65537) and 2 * 65537 > 2 * _C
+
+    def rule(sign):
+        return lambda p, k: {2: sign * 2**31, 65537: 2**32}.get(p, 1)
+
+    with pytest.raises(OverflowError):
+        sieve_multiplicative(rule(1), 2 * 65537)
+    # -2^63 is a word, so the same product with one sign flipped is kept
+    assert sieve_multiplicative(rule(-1), 2 * 65537)[2 * 65537] == -(2**63)
 
 
 def test_sieve_multiplicative_rejects_empty_range():

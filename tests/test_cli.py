@@ -124,7 +124,7 @@ def test_positivity_json_roundtrip(capsys):
     assert report.keys() <= payload.keys()
     assert payload["n_max"] == report["n_max"] == 200
     assert payload["failures"] == report["failures"]
-    assert payload["casewise"] == report["casewise"]
+    assert payload["casewise"] == list(report["casewise"])
     assert payload["inequality_failures"] == report["inequality_failures"]
     assert payload["verified"] is report["verified"] is True
 
@@ -475,8 +475,9 @@ def test_positivity_failure_renderings(capsys, monkeypatch, fmt):
 
     def failing(n_max):
         report = honest(n_max)
-        bad = {**report["casewise"][2], "ok": False}  # 3^1
-        casewise = report["casewise"][:2] + [bad]
+        casewise = list(report["casewise"])
+        bad = {**casewise[2], "ok": False}  # 3^1
+        casewise = casewise[:2] + [bad]
         return {**report, "verified": False, "failures": [3],
                 "inequality_failures": [bad], "casewise": casewise}
 

@@ -394,6 +394,25 @@ def test_eighths_matches_the_plain_loop(n, rows, rnd, same):
         assert av.tolist() == want
 
 
+@pytest.mark.parametrize("n", [_K - 1, _K, _K + 1, 2 * _K + 5])
+def test_eighths_raises_at_the_first_bad_n_of_any_chunk(n):
+    # n_max = 2 * _K + 5 ends in a short third chunk; a word moved by 8
+    # before n still divides, and bad words after n are not the first
+    n_max = 2 * _K + 5
+    av, bv = a_table(n_max).values, b_table(n_max).values
+    a, b = av[n], bv[n] + 3
+    bv[n] = b
+    bv[n - 1] -= 8
+    for later in (n + 1, _K + 2, n_max):
+        if n < later <= n_max:
+            bv[later] += 1
+    with pytest.raises(IdentityViolation) as info:
+        lseries._eighths(av, bv)
+    err = info.value
+    assert (err.n, err.a, err.b) == (n, a, b)
+    assert str(err) == f"a({n}) - b({n}) = {a - b} is not divisible by 8"
+
+
 @given(_LENGTHS, st.lists(st.tuples(st.integers(0, 4 * _K), _WORD), max_size=30),
        st.randoms(use_true_random=False), st.sampled_from((0.0, 0.5, 0.99, 1.0)),
        st.integers(0, 3))

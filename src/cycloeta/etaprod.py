@@ -79,8 +79,8 @@ def _eta_power(e, m):
 
     E and E^3 are sparse outright (Euler's pentagonal tail, Jacobi's
     cube), E^2 and E^6 are their sparse squares, and E^4 and E^7 take one
-    fixed-offset multiplication of E^3 and E^6 by E.  Every other exponent
-    goes to Miller's recurrence.
+    packed shift-sum of E^3 and E^6 by E's tail (_sparse_mul).  Every other
+    exponent goes to Miller's recurrence.
     """
     pent = pentagonal_terms(m - 1)
     if e not in (1, 2, 3, 4, 6, 7):
@@ -96,8 +96,12 @@ def _product(factors, n):
     with positive offsets (the binomial [(1, -1)] for the cyclotomic
     family), or None for Euler's product E itself, 1 + its pentagonal tail.
 
-    Positive factors come first, in list order: each is raised at its own
-    length ceil(n/s) (E by _eta_power, any other tail by Miller's power
+    Positive factors come first.  E(q^s) and E(q^s)^3 stay sparse: after
+    the other positive factors, each multiplies the running product by its
+    stretched pentagonal or Jacobi tail in one packed shift-sum
+    (_sparse_mul); only as the product's first factor is one written out
+    dense.  Every other positive factor is raised at its own length
+    ceil(n/s) (E by _eta_power, any other tail by Miller's power
     recurrence) and stretched by s, so the structural zeros of q -> q^s are
     never multiplied, and every one after the first is multiplied into the
     running product as a dense series.  Negative factors then divide, -e
@@ -109,13 +113,19 @@ def _product(factors, n):
     # qseries._mul_lists and this module's _solve_quotient are looked up at
     # call time, so wrappers bound over them after import (perfbench/spans.py)
     # are the ones that run.
-    acc = None
+    acc, sparse = None, []
     for s, tail, e in factors:
         if e > 0:
             m = (n - 1) // s + 1
+            if tail is None and e in (1, 3):
+                terms = pentagonal_terms(m - 1) if e == 1 else jacobi_terms(m - 1)
+                sparse.append([(g * s, c) for g, c in terms])
+                continue
             power = [0] * n
             power[::s] = _eta_power(e, m) if tail is None else _sparse_power(tail, e, m)
             acc = power if acc is None else qseries._mul_lists(power, acc, n)
+    for tail in sparse:
+        acc = _dense(tail, n) if acc is None else _sparse_mul(acc, tail, n)
     if acc is None:
         acc = [1] + [0] * (n - 1)
     for s, tail, e in factors:

@@ -2,9 +2,10 @@
 
 The kernels here work on bare coefficient lists truncated to n terms:
 products, sparse powers and the quotient solve against a sparse tail.
-Coefficients are Python ints, so arithmetic is exact at any size.  The one
-fixed-width path, the packed quotient solve, checks its bound on the values
-it has produced and otherwise finishes in Python ints.
+Coefficients are Python ints, so arithmetic is exact at any size.  The two
+fixed-width paths, the packed quotient solve and the packed sparse product,
+check their bounds on the values they hold and otherwise take an exact
+route.
 
 A QSeries is the immutable result of an expansion:
 q**(order24/24) * (c[0] + c[1]*q + ... + c[t-1]*q**(t-1)), with the leading
@@ -207,7 +208,8 @@ _BLOCK = 256
 _VALUE_BOUND = 1 << 52
 _ORDER = sys.byteorder
 _FIELDS = struct.Struct(f"={_BLOCK}q")
-_TOPS = int.from_bytes((1 << 63).to_bytes(8, _ORDER) * _BLOCK, _ORDER)
+_TOP_WORD = (1 << 63).to_bytes(8, _ORDER)
+_TOPS = int.from_bytes(_TOP_WORD * _BLOCK, _ORDER)
 _BLOCK_MASK = (1 << (64 * _BLOCK)) - 1
 
 
@@ -347,27 +349,47 @@ def _sparse_square(tail, n):
 
 def _sparse_mul(dense, tail, n):
     """First n coefficients of dense * (1 + tail).  dense holds at least n
-    coefficients and is consumed: the product replaces it from the top.
+    coefficients and is consumed: it is empty on return.
 
-    The mirror of _solve_plain, run downwards: dense is popped from the
-    end, so once dense[k] is popped, dense[k - g] is dense[-g], a fixed
-    offset, and the active tail terms are grouped by coefficient between
-    consecutive offsets.  Each input coefficient is freed as its product
-    coefficient is made.
+    One shift-sum of packed ints: dense[:n] is packed once, as the signed
+    x = sum_f v_f 2^(64 f) of _solve_packed's fields, and each tail term
+    with offset g < n adds cg * (x << 64 g), cut to n fields.  One add,
+    mask and XOR with 2^63 in every field, as in _kronecker_mul, read
+    fields 0..n-1 back as words.  That is exact while max|dense| *
+    (1 + sum|cg|) < 2^63 over those terms; past it the product is one
+    _mul_lists call.
     """
     del dense[n:]
-    out = []
-    append = out.append
-    pop = dense.pop
-    for lo, hi, active in reversed(list(_active_segments(tail, n))):
-        getters = _grouped_getters(active)
-        for _ in range(lo, hi):
-            acc = pop()
-            for cg, get in getters:
-                acc += cg * sum(get(dense))
-            append(acc)
-    out.reverse()
-    return out
+    terms = [(g, cg) for g, cg in tail if cg and g < n]
+    peak = max(max(dense, default=0), -min(dense, default=0))
+    if peak * (1 + sum(abs(cg) for _, cg in terms)) >= 1 << 63:
+        out = _mul_lists(dense, _dense(tail, n), n)
+        dense.clear()
+        return out
+    tops = int.from_bytes(_TOP_WORD * n, _ORDER)
+    # a Struct of its own: struct.pack would cache one for this n's format,
+    # a lasting object among the expansion's ints that keeps their memory
+    # arena from being freed (verify at 10^5 peaked 0.8 MB higher)
+    x = int.from_bytes(struct.Struct(f"={n}q").pack(*dense), _ORDER)
+    dense.clear()
+    x = (x ^ tops) - tops
+    acc = x + tops
+    # each term keeps only the n - g fields of x that reach the product, so
+    # no int here passes n fields by more than a digit: at verify's length
+    # all stay under glibc's 128 KB mmap threshold, which freeing a larger
+    # block raises, and the quotient solve's growing list then moves onto
+    # the heap
+    mask = (1 << 64 * n) - 1
+    for g, cg in terms:
+        xs = (x & (mask >> 64 * g)) << 64 * g
+        if cg == 1:
+            acc += xs
+        elif cg == -1:
+            acc -= xs
+        else:
+            acc += cg * xs
+    raw = ((acc & mask) ^ tops).to_bytes(8 * n, _ORDER)
+    return memoryview(raw).cast("q").tolist()
 
 
 # ---------------------------------------------------------------------------

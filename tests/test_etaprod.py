@@ -332,10 +332,52 @@ def test_every_dense_product_is_a_kronecker_product(monkeypatch):
 
 
 @given(st.integers(1, 12), st.integers(1, 400))
+# E^4 and E^7 by the packed shift-sum at family size and at verify's
+# E(q^7)^7 length
+@example(e=4, m=3000)
+@example(e=7, m=3000)
+@example(e=4, m=14287)
+@example(e=7, m=14287)
 @settings(max_examples=150, deadline=None)
 def test_eta_power_matches_power_recurrence(e, m):
     # Jacobi's cube, sparse squares and one sparse product against Miller
     assert _eta_power(e, m) == _sparse_power(pentagonal_terms(m - 1), e, m)
+
+
+def schoolbook_expansion(spec, n):
+    """First n coefficients of the spec's product, each positive factor by
+    Miller's recurrence, stretched and multiplied in by _schoolbook_mul
+    (its sparse operand first), then divided by the quotient solve."""
+    acc = [1] + [0] * (n - 1)
+    for s, e in spec.terms:
+        m = (n - 1) // s + 1
+        if e > 0:
+            power = [0] * n
+            power[::s] = _sparse_power(pentagonal_terms(m - 1), e, m)
+            acc = _schoolbook_mul(power, acc, n)
+    for s, e in spec.terms:
+        den = [(g * s, c) for g, c in pentagonal_terms((n - 1) // s)]
+        for _ in range(-e):
+            acc = _solve_quotient(acc, den, 1, n)
+    return acc
+
+
+@pytest.mark.parametrize("text", ["1:4,2:3,5:1,7:-1", "1:2,5000:1"])
+def test_sparse_eta_factors_skip_the_kronecker_product(monkeypatch, text):
+    # E(q^2)^3, E(q^5) and E(q^5000) multiply the dense E(q)^4 or E(q)^2
+    # by their stretched tails, so no Kronecker product runs
+    kron = []
+    real = qseries._kronecker_mul
+
+    def spy(a, b, n):
+        kron.append(n)
+        return real(a, b, n)
+
+    monkeypatch.setattr(qseries, "_kronecker_mul", spy)
+    spec = EtaQuotientSpec(tuple(map(int, t.split(":")) for t in text.split(",")))
+    series = expand(spec, 10_000)
+    assert list(series.coeffs) == schoolbook_expansion(spec, len(series.coeffs))
+    assert kron == []
 
 
 def packed_counter(monkeypatch):

@@ -413,6 +413,19 @@ def test_eighths_raises_at_the_first_bad_n_of_any_chunk(n):
     assert str(err) == f"a({n}) - b({n}) = {a - b} is not divisible by 8"
 
 
+@pytest.mark.parametrize("n", [_K - 1, _K, _K + 1])
+@pytest.mark.parametrize("d", [4, -4, 12, 1, 2, 3, 5, 6, 7, -1])
+def test_eighths_catches_every_residue_mod_8(n, d):
+    # one b word moved by d, d % 8 in 1..7, just before, at and just after
+    # the first chunk edge; d = 4 (mod 8) is the move that a check of the
+    # low two bits alone would pass and then floor
+    av, bv = a_table(2 * _K).values, b_table(2 * _K).values
+    bv[n] += d
+    with pytest.raises(IdentityViolation) as info:
+        lseries._eighths(av, bv)
+    assert info.value.n == n
+
+
 @given(_LENGTHS, st.lists(st.tuples(st.integers(0, 4 * _K), _WORD), max_size=30),
        st.randoms(use_true_random=False), st.sampled_from((0.0, 0.5, 0.99, 1.0)),
        st.integers(0, 3))

@@ -7,6 +7,7 @@ from the code under test.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -404,3 +405,50 @@ def test_sparse_mul_matches_schoolbook(values, tail):
     consumed = list(values) + [7]  # entries past n are dropped
     assert _sparse_mul(consumed, tail, n) == want
     assert consumed == []
+
+
+def mul_lists_spy():
+    """Patch qseries._mul_lists with a spy that still runs it."""
+    return mock.patch.object(qseries, "_mul_lists", wraps=qseries._mul_lists)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40), tails,
+       st.sampled_from([-1, 0, 1]), st.integers(0, 39), st.booleans())
+@example(values=[3], tail=[(1, 5), (7, -3)], edge=0, at=0, negative=False)
+@example(values=[3], tail=[(1, 5), (7, -3)], edge=1, at=0, negative=True)
+@settings(max_examples=200, deadline=None)
+def test_sparse_mul_on_both_sides_of_the_field_bound(values, tail, edge, at, negative):
+    # the peak |value| is the largest with peak * (1 + sum|cg|) < 2^63 over
+    # the offsets below n (edge 0), one less (-1) or one more (+1): the
+    # packed shift-sum runs up to it and one _mul_lists product past it
+    n = len(values)
+    weight = 1 + sum(abs(cg) for g, cg in tail if g < n)
+    peak = ((1 << 63) - 1) // weight + edge
+    dense_in = [v * peak // 10**6 for v in values]
+    dense_in[at % n] = -peak if negative else peak
+    want = _schoolbook_mul(dense_in, dense(1, tail, n), n)
+    consumed = list(dense_in)
+    with mul_lists_spy() as spy:
+        assert _sparse_mul(consumed, tail, n) == want
+    assert spy.called == (edge > 0)
+    assert consumed == []
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+@pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1)])
+def test_sparse_mul_fields_reach_the_bound(edge, signs):
+    # even offsets keep every term's sign that of its field, so each
+    # coefficient reaches +-peak * (1 + sum|cg|) over the offsets below it:
+    # from field 8 on, at edge 0, 2^63 - 16, one step under the bound, in
+    # both signs and with signs alternating from field to field; at edge 1
+    # the fields could not hold it and the product is a _mul_lists one
+    tail = [(2, 2), (4, 5), (6, 7), (8, 1), (90, -4)]
+    peak = ((1 << 63) - 1) // 16 + edge
+    for n in (1, 8, 9, 60):
+        weight = 1 + sum(abs(c) for g, c in tail if g < n)
+        dense_in = [peak * signs[i % len(signs)] for i in range(n)]
+        want = _schoolbook_mul(dense_in, dense(1, tail, n), n)
+        with mul_lists_spy() as spy:
+            assert _sparse_mul(list(dense_in), tail, n) == want
+        assert max(map(abs, want)) == peak * weight
+        assert spy.called == (peak * weight >= 1 << 63) == (edge == 1 and n > 8)

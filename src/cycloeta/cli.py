@@ -161,9 +161,10 @@ def _cmd_coeffs(args):
     from . import lseries
 
     n_max = _resolve_n_max(args)
-    c, av, bv = lseries.c_table(n_max, at=range(1, n_max + 1))
-    # the renderer makes the row tuples a chunk at a time; a list of all
-    # 10^5 of them held about 20 MB
+    # a and b are one slice copy each, not a gather per index (about 30 ms
+    # at 1e5); the renderer makes the row tuples a chunk at a time, as a
+    # list of all 10^5 of them held about 20 MB
+    c, av, bv = lseries.c_table(n_max, at=slice(1, None))
     rows = zip(range(1, n_max + 1), av, bv, islice(c.values, 1, None))
     return {"command": "coeffs", "n_max": n_max, "rows": rows}
 
@@ -252,7 +253,12 @@ def _int_rows(rows, row, sep):
     """Per chunk of `rows`, one string: the `row` template of each, joined by `sep`."""
     rows = iter(rows)
     while part := list(islice(rows, _ROW_CHUNK)):
-        yield sep.join([row] * len(part)) % tuple(chain.from_iterable(part))
+        # the values stay bound until the next chunk's exist: freed at once,
+        # they left the chunks a JSON join holds among about 3.5 MB of free
+        # heap at 10^5 coeffs rows (0.6 MB bound), whenever glibc's mmap
+        # threshold put those chunks on the heap
+        values = tuple(chain.from_iterable(part))
+        yield sep.join([row] * len(part)) % values
 
 
 def _render_json(payload):
@@ -261,14 +267,19 @@ def _render_json(payload):
 
     if isinstance(payload, dict) and payload.get("command") in _ROW_WIDTH:
         # json.dump makes an encoder chunk per number, key and indent; the
-        # rows (never empty) are %-formatted instead and joined once into the
-        # head where its marker stands, so 10^5 coeffs rows are copied once
+        # rows (never empty) are %-formatted instead, a chunk at a time, and
+        # the head up to its marker, the chunks and the rest of the head are
+        # joined once, so no string of the rows alone is ever made
         width = _ROW_WIDTH[payload["command"]]
         row = "    [\n" + ",\n".join(["      %d"] * width) + "\n    ]"
-        rows = ",\n".join(_int_rows(payload["rows"], row, ",\n"))
         head = json.dumps({**payload, "rows": "\0rows"}, indent=2)
         pre, _, post = head.partition('"\\u0000rows"')
-        return "".join((pre, "[\n", rows, "\n  ]", post, "\n"))
+        chunks = _int_rows(payload["rows"], row, ",\n")
+        pieces = [pre, "[\n", next(chunks)]
+        for chunk in chunks:
+            pieces += (",\n", chunk)
+        pieces += ("\n  ]", post, "\n")
+        return "".join(pieces)
     buf = io.StringIO()
     # positivity's lazy margins are written as the list they stand for
     json.dump(payload, buf, indent=2, default=list)
@@ -360,6 +371,18 @@ def _render_text(payload):
 
 # ---------------------------------------------------------------------------
 
+# characters per write: a stream encodes what it is given, so a report
+# written whole would exist a second time, encoded (6.9 MB for coeffs 1e5
+# JSON); a slice and its encoded copy each stay below glibc's default
+# 128 KiB mmap threshold, so every write reuses freed heap blocks
+_WRITE_SLICE = 1 << 16
+
+
+def _write(stream, text):
+    for i in range(0, len(text), _WRITE_SLICE):
+        stream.write(text[i:i + _WRITE_SLICE])
+
+
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -378,13 +401,13 @@ def run(argv=None):
         try:
             if args.output:
                 with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    _write(fh, text)
             elif sys.stdout is None:  # descriptor 1 was closed at start-up
                 import errno
 
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             else:
-                sys.stdout.write(text)
+                _write(sys.stdout, text)
                 sys.stdout.flush()
         except OSError as exc:
             print(f"cycloeta: error: cannot write {args.output or 'stdout'}: "

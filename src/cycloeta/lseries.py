@@ -247,13 +247,16 @@ def c_table(n_max, at=None):
 
     c is written over a's own value array, so no third table is ever
     alive.  An n_max past WORD_N_MAX is refused (ValueError) before
-    anything is allocated.  Given an iterable `at` of indices, returns
-    (table, a(n) for n in at, b(n) for n in at) instead, the values read
-    before c overwrites a and held as array('q') words; `at` is consumed
-    only once both tables exist."""
+    anything is allocated.  Given `at`, returns (table, a(n) for n in at,
+    b(n) for n in at) instead, the values read before c overwrites a and
+    held as array('q') words.  A slice `at` is one slice copy of each
+    table; any other `at` is an iterable of indices, consumed only once
+    both tables exist and gathered one index at a time."""
     av = a_table(n_max).values
     bv = b_table(n_max).values
-    if at is not None:
+    if isinstance(at, slice):
+        a_at, b_at = av[at], bv[at]
+    elif at is not None:
         at = array("q", at)
         a_at = array("q", map(av.__getitem__, at))
         b_at = array("q", map(bv.__getitem__, at))

@@ -276,14 +276,14 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path):
 
 
 class _FailingWriter(io.StringIO):
-    """A stream whose write or flush raises `exc`."""
+    """A stream whose write, second write or flush raises `exc`."""
 
     def __init__(self, exc, method):
         super().__init__()
         self.exc, self.method = exc, method
 
     def write(self, text):
-        if self.method == "write":
+        if self.method == "write" or (self.method == "second-write" and self.tell()):
             raise self.exc
         return super().write(text)
 
@@ -292,7 +292,7 @@ class _FailingWriter(io.StringIO):
             raise self.exc
 
 
-@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("method", ["write", "second-write", "flush"])
 @pytest.mark.parametrize("exc, code, err", [
     (BrokenPipeError(32, "Broken pipe"), 2, "cycloeta: error: cannot write stdout: Broken pipe\n"),
     (OSError(28, "No space left on device"), 2,
@@ -301,6 +301,8 @@ class _FailingWriter(io.StringIO):
 ], ids=["broken-pipe", "no-space", "out-of-memory"])
 def test_failed_stdout_write_keeps_the_exit_code_contract(capsys, monkeypatch, method,
                                                           exc, code, err):
+    # the 36-character report goes out in slices, so a second write happens
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 8)
     monkeypatch.setattr(sys, "stdout", _FailingWriter(exc, method))
     assert run(["verify", "--n-max", "5"]) == code
     assert capsys.readouterr().err == err
@@ -318,6 +320,45 @@ def test_out_of_memory_writing_output_exits_three(capsys, monkeypatch, tmp_path)
     code, out, err = capture(capsys, ["verify", "--n-max", "5", "--output", str(path)])
     assert (code, out) == (3, "")
     assert err == "cycloeta verify: error: out of memory (n-max 5)\n"
+
+
+class _RecordingWriter(io.StringIO):
+    """A stream that records the length of each write and keeps its text
+    when closed."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", [["coeffs", "--n-max", "40"],
+                                  ["expand", "--h", "7", "--n-max", "40"]])
+def test_reports_are_written_a_slice_at_a_time(capsys, monkeypatch, tmp_path, argv, fmt):
+    argv = argv + ["--format", fmt]
+    _, whole, _ = capture(capsys, argv)
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    assert capture(capsys, argv) == (0, whole, "")
+    path = tmp_path / "out"
+    assert capture(capsys, argv + ["--output", str(path)]) == (0, "", "")
+    assert path.read_bytes() == whole.encode("utf-8")
+
+    # every write, to stdout or to --output, gets one slice at most
+    stdout, output = _RecordingWriter(), _RecordingWriter()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(argv) == 0
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: output, raising=False)
+    assert run(argv + ["--output", str(path)]) == 0
+    for stream in (stdout, output):
+        assert stream.getvalue() == whole
+        assert stream.sizes == [7] * (len(whole) // 7) + [len(whole) % 7] * (len(whole) % 7 > 0)
 
 
 @pytest.mark.parametrize("argv", [["verify", "--n-max", "5"],

@@ -191,6 +191,15 @@ def test_c_table_reads_a_and_b_at_indices_before_the_overwrite():
     assert b_at.tolist() == [b_coeff(n) for n in at]
 
 
+@pytest.mark.parametrize("at", [slice(7, None, 6), slice(2, 1000, 5), slice(None, None, -3)])
+def test_c_table_copies_a_and_b_by_slice_before_the_overwrite(at):
+    c, a_at, b_at = c_table(300, at=at)
+    assert c == c_table(300)
+    assert (a_at.typecode, b_at.typecode) == ("q", "q")
+    assert a_at == a_table(300).values[at]
+    assert b_at == b_table(300).values[at]
+
+
 def test_c_table_identity_and_misprint_value():
     ct = c_table(300)
     assert ct.kind == "C"
@@ -225,7 +234,7 @@ def test_identity_violation_from_perturbed_b(monkeypatch, p, k, n_max):
         return table
 
     monkeypatch.setattr(lseries, "b_table", perturbed)
-    for at in (None, range(1, n_max + 1)):
+    for at in (None, range(1, n_max + 1), slice(1, None)):
         with pytest.raises(IdentityViolation) as info:
             c_table(n_max, at=at)
         err = info.value
@@ -234,10 +243,11 @@ def test_identity_violation_from_perturbed_b(monkeypatch, p, k, n_max):
 
 @pytest.mark.parametrize("n_max", [1, 2, 300, 40_000])
 def test_c_table_at_every_index_matches_separate_tables(n_max):
-    c, a_at, b_at = c_table(n_max, at=range(1, n_max + 1))
-    assert c == c_table(n_max)
-    assert [0] + a_at.tolist() == a_table(n_max).values.tolist()
-    assert [0] + b_at.tolist() == b_table(n_max).values.tolist()
+    for at in (range(1, n_max + 1), slice(1, None)):
+        c, a_at, b_at = c_table(n_max, at=at)
+        assert c == c_table(n_max)
+        assert [0] + a_at.tolist() == a_table(n_max).values.tolist()
+        assert [0] + b_at.tolist() == b_table(n_max).values.tolist()
 
 
 def test_coeff_table_validation():
